@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disorder import BumpProfile, default_bump, law_from_dict, sample_omega
+from .disorder import (assemble_potential, default_bump, law_from_dict,
+                       sample_omega)
 from .errors import (ConfigurationError, ExperimentError, FitError,
                      LandscapeLabError, LawValidationError, PositivityError,
                      SingularOperatorError, SolverNonConvergenceError)
@@ -30,9 +31,8 @@ from .landscape import (derived_fields, energy_estimate_check,
                         eta_convergence_study, solve_landscape)
 from .lattice import (Grid, HamiltonianSpec, ScalarField, apply_hamiltonian,
                       cg_solve, dense_solve_oracle)
-from .disorder import assemble_potential
-from .percolation import (anchoring_experiment_1d, chemical_distance, choose_k,
-                          cluster_analysis, coarse_grain, kesten_tail_experiment)
+from .percolation import (anchoring_experiment_1d, choose_k, cluster_analysis,
+                          coarse_grain, kesten_tail_experiment)
 from .stats import (ExperimentSetup, covariance_experiment,
                     fit_exponential_decay, green_decay_experiment,
                     lambda_scaling_curve, vertical_derivative_decay)
@@ -147,6 +147,8 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
             errors.append(f"key {key!r} must be {want.__name__}")
     if "n_samples" in cfg and isinstance(cfg.get("n_samples"), int) and cfg["n_samples"] < 1:
         errors.append("n_samples must be >= 1")
+    if isinstance(cfg.get("tol"), (int, float)) and cfg["tol"] <= 0:
+        errors.append("tol must be > 0")
     if errors:
         raise ConfigurationError("; ".join(errors))
     out = dict(cfg)
@@ -157,9 +159,11 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
 
 
 def _setup_from_cfg(cfg: dict, bc_default: str = "dirichlet") -> ExperimentSetup:
+    """lambda and eta stay None for the subcommands that sweep them."""
+    lam, eta = (float(cfg[key]) if key in cfg else None for key in ("lambda", "eta"))
     return ExperimentSetup(
         d=cfg["d"], L=cfg["L"], m=cfg["m"], law=law_from_dict(cfg["law"]),
-        lam=float(cfg["lambda"]), eta=float(cfg["eta"]),
+        lam=lam, eta=eta,
         bc=cfg.get("bc", bc_default), tol=float(cfg["tol"]),
         margin=int(cfg.get("margin", 5)))
 
@@ -205,7 +209,6 @@ def _run_green_decay(cfg, out):
 
 def _run_lambda_scaling(cfg, out):
     setup = _setup_from_cfg(cfg)
-    setup = replace(setup, lam=1.0, eta=1.0)  # placeholders, overridden per lambda
     res = lambda_scaling_curve(setup, cfg["lambdas"], float(cfg["p"]),
                                cfg["n_samples"], cfg["master_seed"],
                                r_min=float(cfg.get("r_min", 5.0)),

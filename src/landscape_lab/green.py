@@ -15,7 +15,7 @@ import numpy as np
 
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError
-from .lattice import (Grid, HamiltonianSpec, ScalarField, cg_solve,
+from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
                       forward_gradient_sq)
 
 
@@ -93,14 +93,7 @@ def cube_mass(G: GreenColumn, cell) -> float:
 def all_cell_masses(G: GreenColumn) -> np.ndarray:
     """Cube masses of every cell at once, shape (L,)*d."""
     grid = G.spec.grid
-    v = G.field.values
-    shape = ()
-    for _ in range(grid.d):
-        shape += (grid.L, grid.m)
-    blocks = v.reshape(shape)
-    for ax in range(grid.d - 1, -1, -1):
-        blocks = blocks.sum(axis=2 * ax + 1)
-    return blocks * grid.h ** grid.d
+    return cell_reduce(G.field.values, grid, np.add) * grid.h ** grid.d
 
 
 def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,

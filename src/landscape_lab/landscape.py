@@ -13,7 +13,7 @@ import numpy as np
 
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
-from .lattice import (Grid, HamiltonianSpec, ScalarField, cg_solve,
+from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
                       forward_gradient_sq)
 
 
@@ -42,23 +42,11 @@ class EtaRow:
 
 
 def cell_maxima(values: np.ndarray, grid: Grid) -> np.ndarray:
-    shape = ()
-    for _ in range(grid.d):
-        shape += (grid.L, grid.m)
-    blocks = values.reshape(shape)
-    for ax in range(grid.d - 1, -1, -1):
-        blocks = blocks.max(axis=2 * ax + 1)
-    return blocks
+    return cell_reduce(values, grid, np.maximum)
 
 
 def cell_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
-    shape = ()
-    for _ in range(grid.d):
-        shape += (grid.L, grid.m)
-    blocks = values.reshape(shape)
-    for ax in range(grid.d - 1, -1, -1):
-        blocks = blocks.sum(axis=2 * ax + 1)
-    return blocks * grid.h ** grid.d
+    return cell_reduce(values, grid, np.add) * grid.h ** grid.d
 
 
 def solve_landscape(H: HamiltonianSpec, tol: float = 1e-9,

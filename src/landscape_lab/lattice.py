@@ -152,12 +152,19 @@ def apply_hamiltonian(H: HamiltonianSpec, f: ScalarField) -> ScalarField:
     """(2d+1)-point stencil; Dirichlet reads zeros outside, periodic wraps."""
     if f.grid != H.grid:
         raise GridMismatchError("field and Hamiltonian grids differ")
-    out = H.diagonal() * f.values - H.grid.m ** 2 * _neighbor_sum(f.values, H.grid.bc)
-    return ScalarField(grid=H.grid, values=out)
+    return ScalarField(grid=H.grid, values=_apply_raw(H, f.values))
 
 
 def _apply_raw(H: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
     return H.diagonal() * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
+
+
+def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
+    """Reduce the m^d nodes of every unit cell with a ufunc; shape (L,)*d."""
+    blocks = values.reshape(tuple(n for _ in range(grid.d) for n in (grid.L, grid.m)))
+    for ax in range(grid.d - 1, -1, -1):
+        blocks = ufunc.reduce(blocks, axis=2 * ax + 1)
+    return blocks
 
 
 def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,

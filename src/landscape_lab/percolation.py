@@ -2,42 +2,24 @@
 
 Edges of the 2^k-spaced coarse lattice are open when some fine site inside
 the disjoint edge cube carries an amplitude above the threshold gamma; the
-chemical distance counts open edges along the cheapest path (0-1 BFS).
+edge cube is a product of intervals, so its max is a separable window max
+taken only at the edge centers.  The chemical distance counts open edges
+along the cheapest path: closed (weight 0) edges are contracted into
+components, then a breadth-first search runs over the open edges between
+them.  Clusters and components come from scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError
-
-
-class UnionFind:
-    """Array-based disjoint sets with union by size and path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -57,20 +39,6 @@ class CoarseGraph:
     @property
     def n_vertices(self) -> int:
         return self.nc ** self.d
-
-    def vertex_indices(self):
-        return np.stack(np.meshgrid(*[np.arange(self.nc)] * self.d, indexing="ij"),
-                        axis=-1).reshape(-1, self.d)
-
-    def linear(self, idx) -> int:
-        return int(np.ravel_multi_index(tuple(idx), (self.nc,) * self.d))
-
-    def edges(self):
-        """Yield (vertex_idx_tuple, axis, open) for every edge."""
-        for ax in range(self.d):
-            arr = self.xi[ax]
-            for flat, open_ in np.ndenumerate(arr):
-                yield flat, ax, bool(open_)
 
 
 @dataclass(frozen=True)
@@ -105,117 +73,116 @@ def choose_k(law: DisorderLaw, gamma: float, d: int, k_max: int = 16) -> int:
     raise ConfigurationError(f"no k <= {k_max} achieves subcritical closed edges")
 
 
+def _coarse_side(L: int, k: int) -> int:
+    """Coarse vertices per side of a box of L sites at scale 2^k."""
+    if k < 1:
+        raise ConfigurationError(f"coarse scale k must be >= 1, got {k}")
+    nc = (L - 1) // (1 << k) + 1
+    if nc < 4:
+        raise ConfigurationError(f"box too small: only {nc} coarse cells per side")
+    return nc
+
+
+def _strided_window_max(a: np.ndarray, axis: int, start: int, step: int,
+                        count: int, w: int) -> np.ndarray:
+    """Max over sites within w of start, start + step, ... (count centers) on axis.
+
+    Edge padding repeats the boundary site, which equals clipping the
+    window to the box.
+    """
+    pad = [(w, w) if j == axis else (0, 0) for j in range(a.ndim)]
+    win = sliding_window_view(np.pad(a, pad, mode="edge"), 2 * w + 1, axis=axis)
+    centers = [slice(None)] * a.ndim
+    centers[axis] = slice(start, start + step * (count - 1) + 1, step)
+    return win[tuple(centers)].max(axis=-1)
+
+
 def coarse_grain(omega: OmegaField, k: int, gamma: float) -> CoarseGraph:
     """Threshold the max amplitude in each (disjoint) edge cube."""
-    s = 1 << k
-    q = (1 << (k - 1)) / 2.0   # half-width of the open edge cube
     L = omega.box[0]
     if any(b != L for b in omega.box):
         raise ConfigurationError("coarse graining expects a cubic box")
-    nc = (L - 1) // s + 1
-    if nc < 4:
-        raise ConfigurationError(f"box too small: only {nc} coarse cells per side")
-
-    def axis_range(center: float):
-        lo = int(np.floor(center - q)) + 1        # smallest int > center - q
-        hi = int(np.ceil(center + q)) - 1         # largest  int < center + q
-        if np.floor(center - q) == center - q:
-            lo = int(center - q) + 1
-        if np.ceil(center + q) == center + q:
-            hi = int(center + q) - 1
-        return max(lo, 0), min(hi, L - 1)
-
+    nc = _coarse_side(L, k)
+    s = 1 << k
+    # every center is an integer and the open cube of side 2^(k-1) reaches
+    # the sites strictly closer than s/4 to it
+    w = -(-s // 4) - 1
     xi = []
     for ax in range(omega.d):
-        shape = tuple(nc - 1 if j == ax else nc for j in range(omega.d))
-        arr = np.zeros(shape, dtype=bool)
-        for idx in np.ndindex(shape):
-            slices = []
-            ok = True
-            for j in range(omega.d):
-                center = idx[j] * s + (s / 2.0 if j == ax else 0.0)
-                lo, hi = axis_range(center)
-                if hi < lo:
-                    ok = False
-                    break
-                slices.append(slice(lo, hi + 1))
-            if ok:
-                arr[idx] = omega.values[tuple(slices)].max() >= gamma
-        xi.append(arr)
+        m = omega.values
+        for j in range(omega.d):
+            start, count = (s // 2, nc - 1) if j == ax else (0, nc)
+            m = _strided_window_max(m, j, start, s, count, w)
+        xi.append(m >= gamma)
     return CoarseGraph(k=k, gamma=gamma, nc=nc, d=omega.d, xi=tuple(xi))
 
 
-def _neighbors(idx, nc: int):
-    for ax in range(len(idx)):
-        if idx[ax] + 1 < nc:
-            yield tuple(idx[j] + (1 if j == ax else 0) for j in range(len(idx))), ax, idx
-        if idx[ax] - 1 >= 0:
-            lower = tuple(idx[j] - (1 if j == ax else 0) for j in range(len(idx)))
-            yield lower, ax, lower
+def _edge_list(g: CoarseGraph):
+    """Flat lower endpoints, flat upper endpoints and open flags of all edges."""
+    ids = np.arange(g.n_vertices).reshape((g.nc,) * g.d)
+    lower, upper = [], []
+    for ax in range(g.d):
+        lower.append(np.delete(ids, -1, axis=ax).ravel())
+        upper.append(np.delete(ids, 0, axis=ax).ravel())
+    open_ = np.concatenate([a.ravel() for a in g.xi])
+    return np.concatenate(lower), np.concatenate(upper), open_
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component label per vertex of the undirected graph with edges (a, b)."""
+    adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
 
 
 def cluster_analysis(g: CoarseGraph) -> ClusterReport:
-    """Union-find over open edges; BFS components of isolated (closed) vertices."""
-    shape = (g.nc,) * g.d
-    uf = UnionFind(g.n_vertices)
-    incident_open = np.zeros(shape, dtype=bool)
-    for idx, ax, open_ in g.edges():
-        if open_:
-            a = np.ravel_multi_index(idx, shape)
-            up = tuple(idx[j] + (1 if j == ax else 0) for j in range(g.d))
-            b = np.ravel_multi_index(up, shape)
-            uf.union(int(a), int(b))
-            incident_open[idx] = True
-            incident_open[up] = True
-    labels = np.asarray([uf.find(i) for i in range(g.n_vertices)]).reshape(shape)
-    counts = np.bincount(labels.ravel())
-    largest = float(counts.max()) / g.n_vertices
+    """Open clusters, and the Chebyshev diameters of closed components.
 
-    closed = ~incident_open
-    seen = np.zeros(shape, dtype=bool)
-    diameters = []
-    for start in np.argwhere(closed):
-        start = tuple(start)
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb, _ax, _lo in _neighbors(cur, g.nc):
-                if closed[nb] and not seen[nb]:
-                    seen[nb] = True
-                    comp.append(nb)
-                    queue.append(nb)
-        pts = np.asarray(comp)
-        diameters.append(int((pts.max(axis=0) - pts.min(axis=0)).max()))
-    return ClusterReport(labels=labels, largest_fraction=largest,
-                         closed_component_diameters=diameters)
+    A vertex is closed (isolated) when no open edge touches it; closed
+    components are listed in the C order of their first vertex.
+    """
+    shape = (g.nc,) * g.d
+    lo, hi, open_ = _edge_list(g)
+    labels = _components(g.n_vertices, lo[open_], hi[open_])
+    largest = float(np.bincount(labels).max()) / g.n_vertices
+
+    closed = np.ones(g.n_vertices, dtype=bool)
+    closed[lo[open_]] = False
+    closed[hi[open_]] = False
+    both = closed[lo] & closed[hi]
+    sites = np.flatnonzero(closed)
+    found, comp = np.unique(_components(g.n_vertices, lo[both], hi[both])[sites],
+                            return_inverse=True)
+    diam = np.zeros(found.size, dtype=int)
+    for coord in np.unravel_index(sites, shape):
+        top = np.full(found.size, -1)
+        bottom = np.full(found.size, g.nc)
+        np.maximum.at(top, comp, coord)
+        np.minimum.at(bottom, comp, coord)
+        diam = np.maximum(diam, top - bottom)
+    return ClusterReport(labels=labels.reshape(shape), largest_fraction=largest,
+                         closed_component_diameters=[int(x) for x in diam])
 
 
 def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
-    """Single-source passage times with 0/1 edge weights (deque search, exact)."""
+    """Single-source passage times with 0/1 edge weights (exact).
+
+    Closed (weight 0) edges are contracted into components; a breadth-first
+    search over the open edges between components gives the passage times.
+    """
     origin = tuple(int(c) for c in np.atleast_1d(origin))
     shape = (g.nc,) * g.d
     if len(origin) != g.d or any(not (0 <= c < g.nc) for c in origin):
         raise ConfigurationError(f"origin {origin} outside the coarse graph")
-    dist = np.full(shape, -1, dtype=int)
-    dist[origin] = 0
-    dq = deque([origin])
-    while dq:
-        cur = dq.popleft()
-        dcur = dist[cur]
-        for nb, ax, lower in _neighbors(cur, g.nc):
-            w = 1 if g.xi[ax][lower] else 0
-            nd = dcur + w
-            if dist[nb] == -1 or nd < dist[nb]:
-                dist[nb] = nd
-                if w == 0:
-                    dq.appendleft(nb)
-                else:
-                    dq.append(nb)
-    return ChemicalDistanceMap(origin=origin, dist=dist)
+    lo, hi, open_ = _edge_list(g)
+    comp = _components(g.n_vertices, lo[~open_], hi[~open_])
+    n_comp = int(comp.max()) + 1
+    quotient = sp.coo_matrix(
+        (np.ones(np.count_nonzero(open_)), (comp[lo[open_]], comp[hi[open_]])),
+        shape=(n_comp, n_comp))
+    hops = shortest_path(quotient, directed=False, unweighted=True,
+                         indices=comp[np.ravel_multi_index(origin, shape)])
+    return ChemicalDistanceMap(origin=origin,
+                               dist=hops[comp].astype(int).reshape(shape))
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96):
@@ -248,16 +215,15 @@ def kesten_tail_experiment(law: DisorderLaw, d: int, L: int, gamma: float,
         raise ConfigurationError("c_probe must lie in (0, 1]")
     if k is None:
         k = choose_k(law, gamma, d)
+    nc = _coarse_side(L, k)
+    origin = (nc // 2,) * d
+    if max(radii) > min(origin[0], nc - 1 - origin[0]):
+        raise ConfigurationError("largest radius does not fit in the coarse box")
+    cheb = np.abs(np.indices((nc,) * d) - origin[0]).max(axis=0)
     hits = {R: 0 for R in radii}
     for i in range(n_samples):
         omega = sample_omega(law, (L,) * d, master_seed, i)
-        g = coarse_grain(omega, k, gamma)
-        origin = (g.nc // 2,) * d
-        if max(radii) > min(origin[0], g.nc - 1 - origin[0]):
-            raise ConfigurationError("largest radius does not fit in the coarse box")
-        dmap = chemical_distance(g, origin)
-        idx = np.stack(np.meshgrid(*[np.arange(g.nc)] * d, indexing="ij"), axis=-1)
-        cheb = np.max(np.abs(idx - np.asarray(origin)), axis=-1)
+        dmap = chemical_distance(coarse_grain(omega, k, gamma), origin)
         for R in radii:
             shell_min = int(dmap.dist[cheb == R].min())
             if shell_min <= c_probe * R:
@@ -283,20 +249,11 @@ def gap_statistic_1d(omega: OmegaField, gamma: float, y_prime: int) -> GapStatis
     L = omega.box[0]
     if not (0 <= y_prime < L):
         raise IndexError(f"site {y_prime} outside box of length {L}")
-    v = omega.values
-    right = None
-    for j in range(y_prime + 1, L):
-        if v[j] >= gamma:
-            right = j
-            break
-    left = None
-    for j in range(y_prime - 1, -1, -1):
-        if v[j] >= gamma:
-            left = j
-            break
-    if right is None or left is None:
+    left = np.flatnonzero(omega.values[:y_prime] >= gamma)
+    right = np.flatnonzero(omega.values[y_prime + 1:] >= gamma)
+    if right.size == 0 or left.size == 0:
         return GapStatistic(gap=L, censored=True)
-    return GapStatistic(gap=right - left, censored=False)
+    return GapStatistic(gap=int(y_prime + 1 + right[0] - left[-1]), censored=False)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ class ExperimentSetup:
     L: int
     m: int
     law: DisorderLaw
-    lam: float
-    eta: float
+    lam: float | None       # None where the experiment sweeps lambda
+    eta: float | None       # None where the experiment sweeps eta
     bc: str = "dirichlet"
     bump: BumpProfile = BumpProfile()
     tol: float = 1e-9
@@ -318,6 +318,10 @@ def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
                               n_boot: int = BOOTSTRAP_DEFAULT) -> MomentCurve:
     """E[|u(x) - u^z(x)|^2]^(1/2) against the resampled-site distance |z - x|."""
     offsets = [int(o) for o in z_offsets]
+    zc = setup.L // 2
+    for off in offsets:
+        if not (0 <= zc + off < setup.L):
+            raise ConfigurationError(f"z offset {off} puts the site outside the box")
     rows = _pool_map(_vert_sample,
                      [(setup, master_seed, i, offsets) for i in range(n_samples)],
                      workers)

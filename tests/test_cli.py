@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from landscape_lab.cli import run, validate_config, write_csv
+from landscape_lab.cli import _RUNNERS, run, validate_config, write_csv
 from landscape_lab.errors import ConfigurationError
 
 LAW = {"kind": "bernoulli", "q": 0.5}
@@ -91,6 +91,54 @@ class TestExitCodes:
     def test_green_decay_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg(n_samples=8))
         assert run("green-decay", cfg, output_dir=tmp_path / "out") == 0
+
+
+TINY_1D = {"d": 1, "L": 16, "m": 20, "law": LAW, "lambda": 1.0, "eta": 1e-3}
+
+# one small valid config per subcommand
+SMOKE_CONFIGS = {
+    "solve-landscape": dict(TINY_1D),
+    "green-decay": dict(TINY_1D, p=1.0, n_samples=2, margin=2,
+                        r_min=1.0, r_max=5.0),
+    "lambda-scaling": {"d": 1, "L": 16, "m": 20, "law": LAW, "lambdas": [0.5, 1.0],
+                       "p": 1.0, "n_samples": 2, "margin": 2,
+                       "r_min": 1.0, "r_max": 5.0},
+    "covariance": dict(TINY_1D, observable="u", separations=[1, 2],
+                       n_samples=3, margin=2),
+    "vertical-derivative": dict(TINY_1D, z_offsets=[1, 2, 3, 4], n_samples=2),
+    "eta-convergence": {"d": 1, "L": 16, "m": 20, "law": LAW, "lambda": 1.0,
+                        "etas": [1e-2, 1e-3, 1e-4], "n_samples": 1},
+    "energy-check": dict(TINY_1D, n_samples=2),
+    "agmon-check": dict(TINY_1D, n_samples=1),
+    "rank-one-check": dict(TINY_1D, n_samples=1),
+    "fpp-kesten": {"d": 1, "L": 65, "law": LAW, "gamma": 0.5, "k": 3,
+                   "radii": [1, 2], "c_probe": 0.5, "n_samples": 2},
+    "cluster-tail": {"d": 2, "L": 33, "law": LAW, "gamma": 0.5, "k": 3,
+                     "n_samples": 2},
+    "anchor-1d": {"L": 32, "law": LAW, "gamma": 0.5, "n_samples": 5},
+    "selftest": {},
+}
+
+
+class TestEverySubcommand:
+    def test_every_runner_has_a_config(self):
+        assert set(SMOKE_CONFIGS) == set(_RUNNERS)
+
+    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
+    def test_runs_to_a_documented_exit_code(self, tmp_path, subcommand):
+        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand])
+        # a valid config ends in any documented code but a validation error
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") in (0, 3, 4, 5)
+
+    def test_z_offset_outside_box_exits_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(SMOKE_CONFIGS["vertical-derivative"], z_offsets=[1, 9]))
+        assert run("vertical-derivative", cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_nonpositive_tol_exits_2(self, tmp_path, tol):
+        cfg = write_cfg(tmp_path, "c.json", green_cfg(tol=tol))
+        assert run("green-decay", cfg, output_dir=tmp_path / "out") == 2
 
 
 class TestManifest:

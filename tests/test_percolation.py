@@ -52,6 +52,55 @@ def bellman_ford_distances(g, origin):
     return dist
 
 
+def edge_cube_max_oracle(values, k, ax, idx):
+    """Max amplitude over fine sites n with |n - center| < 2^(k-1)/2 per axis."""
+    s = 1 << k
+    half = (1 << (k - 1)) / 2.0
+    sites = []
+    for j, i in enumerate(idx):
+        center = i * s + (s / 2.0 if j == ax else 0.0)
+        sites.append([n for n in range(values.shape[j]) if abs(n - center) < half])
+    return values[np.ix_(*sites)].max()
+
+
+def closed_diameters_oracle(g):
+    """Flood fill of vertices touched by no open edge, in C order of first vertex."""
+    shape = (g.nc,) * g.d
+    touched = np.zeros(shape, dtype=bool)
+    for ax in range(g.d):
+        for idx, open_ in np.ndenumerate(g.xi[ax]):
+            if open_:
+                up = tuple(idx[j] + (1 if j == ax else 0) for j in range(g.d))
+                touched[idx] = touched[up] = True
+    seen = np.zeros(shape, dtype=bool)
+    diameters = []
+    for start in np.ndindex(shape):
+        if touched[start] or seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], [start]
+        while stack:
+            cur = stack.pop()
+            for ax in range(g.d):
+                for step in (-1, 1):
+                    nb = list(cur)
+                    nb[ax] += step
+                    nb = tuple(nb)
+                    if 0 <= nb[ax] < g.nc and not touched[nb] and not seen[nb]:
+                        seen[nb] = True
+                        stack.append(nb)
+                        comp.append(nb)
+        pts = np.asarray(comp)
+        diameters.append(int((pts.max(axis=0) - pts.min(axis=0)).max()))
+    return diameters
+
+
+# (d, L, k): k = 1-4 in every dimension, with L = 1 (mod 2^k) and L != 1 (mod 2^k)
+ORACLE_CASES = [(1, 33, 1), (1, 30, 2), (1, 41, 3), (1, 70, 4),
+                (2, 9, 1), (2, 14, 2), (2, 33, 3), (2, 53, 4),
+                (3, 9, 1), (3, 14, 2), (3, 25, 3), (3, 50, 4)]
+
+
 class TestChooseK:
     def test_defining_inequality_tight(self):
         law = bernoulli(0.5)
@@ -103,10 +152,30 @@ class TestCoarseGrain:
         sd = np.sqrt(expect * (1 - expect) / n_edges)
         assert abs(closed - expect) < 3 * sd
 
+    @pytest.mark.parametrize("d,L,k", ORACLE_CASES)
+    def test_matches_brute_force_edge_cube_max(self, d, L, k):
+        omega = sample_omega(uniform01(), (L,) * d, 71, k)
+        for p_closed in (0.3, 0.7):
+            gamma = p_closed ** (1.0 / edge_cube_site_count(k, d))
+            g = coarse_grain(omega, k, gamma)
+            for ax in range(d):
+                want = np.zeros(g.xi[ax].shape, dtype=bool)
+                for idx in np.ndindex(want.shape):
+                    want[idx] = edge_cube_max_oracle(omega.values, k, ax, idx) >= gamma
+                assert np.array_equal(g.xi[ax], want)
+
     def test_small_box_rejected(self):
         omega = omega_from_values(np.ones((5, 5)))
         with pytest.raises(ConfigurationError):
             coarse_grain(omega, 1, 0.5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_scale_rejected(self, k):
+        omega = omega_from_values(np.ones((33, 33)))
+        with pytest.raises(ConfigurationError):
+            coarse_grain(omega, k, 0.5)
+        with pytest.raises(ConfigurationError):
+            kesten_tail_experiment(uniform01(), 1, 65, 0.5, [1], 0.5, 1, 0, k=k)
 
     def test_deterministic(self):
         omega = sample_omega(bernoulli(0.5), (17, 17), 3, 0)
@@ -135,10 +204,20 @@ class TestClusterAnalysis:
         rep = cluster_analysis(g)
         assert rep.labels.shape == (8, 8)
         # same label iff connected through open edges: spot-check edges
-        for idx, ax, open_ in g.edges():
-            up = tuple(idx[j] + (1 if j == ax else 0) for j in range(g.d))
-            if open_:
-                assert rep.labels[idx] == rep.labels[up]
+        for ax in range(g.d):
+            for idx, open_ in np.ndenumerate(g.xi[ax]):
+                up = tuple(idx[j] + (1 if j == ax else 0) for j in range(g.d))
+                if open_:
+                    assert rep.labels[idx] == rep.labels[up]
+
+    @pytest.mark.parametrize("d,L,k", ORACLE_CASES)
+    def test_closed_diameters_match_flood_fill(self, d, L, k):
+        for i in range(3):
+            omega = sample_omega(uniform01(), (L,) * d, 73, i)
+            # closed edges with probability 3/4: several closed components
+            g = coarse_grain(omega, k, 0.75 ** (1.0 / edge_cube_site_count(k, d)))
+            assert cluster_analysis(g).closed_component_diameters == \
+                closed_diameters_oracle(g)
 
     def test_diameter_tail_decreases(self):
         # threshold tuned so closed edges are dense (though subcritical) and
