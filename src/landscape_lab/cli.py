@@ -78,28 +78,28 @@ SCHEMAS = {
                     "n_samples": int, "margin": int,
                     "r_min": float, "r_max": float},
     "lambda-scaling": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                       "lambdas": list, "p": float, "n_samples": int,
+                       "lambdas": [float], "p": float, "n_samples": int,
                        "margin": int, "r_min": float, "r_max": float},
     "covariance": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
                    "lambda": float, "eta": float, "observable": str,
-                   "separations": list, "n_samples": int, "margin": int},
+                   "separations": [int], "n_samples": int, "margin": int},
     "vertical-derivative": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                            "lambda": float, "eta": float, "z_offsets": list,
+                            "lambda": float, "eta": float, "z_offsets": [int],
                             "n_samples": int, "r_min": float, "r_max": float},
     "eta-convergence": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                        "lambda": float, "etas": list, "n_samples": int,
+                        "lambda": float, "etas": [float], "n_samples": int,
                         "ratio_lo": float, "ratio_hi": float},
     "energy-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
                      "eta": float, "n_samples": int},
     "agmon-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
-                    "eta": float, "mus": list, "weight_cap": float,
+                    "eta": float, "mus": [float], "weight_cap": float,
                     "cutoff_inner": float, "cutoff_outer": float,
                     "n_samples": int},
     "rank-one-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
                        "eta": float, "n_samples": int, "z_offset": int,
                        "x_offset": int, "max_rel_error": float},
     "fpp-kesten": {"d": int, "L": int, "law": dict, "gamma": float, "k": int,
-                   "radii": list, "c_probe": float, "n_samples": int},
+                   "radii": [int], "c_probe": float, "n_samples": int},
     "cluster-tail": {"d": int, "L": int, "law": dict, "gamma": float, "k": int,
                      "n_samples": int, "diam_min": int, "diam_max": int},
     "anchor-1d": {"L": int, "law": dict, "gamma": float, "n_samples": int},
@@ -125,6 +125,16 @@ _REQUIRED = {
 }
 
 
+def _is_type(val, want) -> bool:
+    """JSON type check; ints pass as floats, bools pass as neither."""
+    if isinstance(val, bool):
+        return False
+    if isinstance(want, list):    # [elem_type]: a non-empty list of that type
+        return (isinstance(val, list) and len(val) > 0
+                and all(_is_type(v, want[0]) for v in val))
+    return isinstance(val, (int, float) if want is float else want)
+
+
 def validate_config(subcommand: str, cfg: dict) -> dict:
     if subcommand not in SCHEMAS:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
@@ -139,16 +149,16 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
             errors.append(f"missing required key {key!r}")
     for key, val in cfg.items():
         want = allowed.get(key)
-        if want is None:
-            continue
-        if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-            continue
-        if not isinstance(val, want) or isinstance(val, bool):
-            errors.append(f"key {key!r} must be {want.__name__}")
-    if "n_samples" in cfg and isinstance(cfg.get("n_samples"), int) and cfg["n_samples"] < 1:
-        errors.append("n_samples must be >= 1")
-    if isinstance(cfg.get("tol"), (int, float)) and cfg["tol"] <= 0:
-        errors.append("tol must be > 0")
+        if want is not None and not _is_type(val, want):
+            name = (f"a non-empty list of {want[0].__name__}"
+                    if isinstance(want, list) else want.__name__)
+            errors.append(f"key {key!r} must be {name}")
+    for key, low in (("n_samples", 1), ("margin", 0)):
+        if isinstance(cfg.get(key), int) and cfg[key] < low:
+            errors.append(f"{key} must be >= {low}")
+    for key in ("tol", "p"):
+        if isinstance(cfg.get(key), (int, float)) and cfg[key] <= 0:
+            errors.append(f"{key} must be > 0")
     if errors:
         raise ConfigurationError("; ".join(errors))
     out = dict(cfg)
@@ -313,6 +323,10 @@ def _run_rank_one(cfg, out):
     zc = grid.L // 2
     z = (zc + z_off,) * grid.d
     x = tuple(c + x_off * grid.m for c in grid.center_node)
+    if not 0 <= z[0] < grid.L:
+        raise ConfigurationError(f"z_offset {z_off} puts the site outside the box")
+    if not 0 <= x[0] < grid.n_per_side:
+        raise ConfigurationError(f"x_offset {x_off} puts the point outside the box")
     rows, worst = [], 0.0
     for i in range(cfg["n_samples"]):
         omega = sample_omega(setup.law, (setup.L,) * setup.d, cfg["master_seed"], i)

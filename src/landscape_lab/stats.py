@@ -105,17 +105,17 @@ def _green_sample(args):
         return None
 
 
-def _shell_bins(grid: Grid, margin: int):
-    """Cells grouped by |z - center|_oo, boundary margin excluded."""
-    zc = np.asarray(grid.center_cell)
+def _shell_index(grid: Grid, margin: int):
+    """Cells outside the boundary margin, binned by r = |z - center|_oo.
+
+    Returns the cells' flat indices, each cell's bin, and the sorted distinct r.
+    """
     axes = [np.arange(margin, grid.L - margin)] * grid.d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.d)
-    r = np.max(np.abs(mesh - zc), axis=1)
-    order = {}
-    for cell, ri in zip(mesh, r):
-        order.setdefault(int(ri), []).append(tuple(cell))
-    dists = sorted(order)
-    return dists, [order[ri] for ri in dists]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    r = np.max([np.abs(a - c) for a, c in zip(mesh, grid.center_cell)], axis=0)
+    cells = np.ravel_multi_index(mesh, (grid.L,) * grid.d).ravel()
+    dists, shell = np.unique(r.ravel(), return_inverse=True)
+    return cells, shell.ravel(), dists
 
 
 def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
@@ -125,17 +125,18 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     grid = setup.grid()
-    dists, bins = _shell_bins(grid, setup.margin)
+    cells, shell, dists = _shell_index(grid, setup.margin)
     masses = _pool_map(_green_sample,
                        [(setup, master_seed, i) for i in range(n_samples)], workers)
     skipped = sum(mv is None for mv in masses)
     if skipped / n_samples > 0.05:
         raise ExperimentError(f"{skipped}/{n_samples} samples failed to solve")
-    kept = [mv for mv in masses if mv is not None]
-    S = np.empty((len(kept), len(dists)))
-    for si, mv in enumerate(kept):
-        for bi, cells in enumerate(bins):
-            S[si, bi] = np.mean([mv[c] ** p for c in cells])
+    kept = np.stack([mv.ravel()[cells] for mv in masses if mv is not None]) ** p
+    # per-(sample, shell) sums in one bincount over offset bin labels
+    nb = len(dists)
+    labels = (np.arange(len(kept))[:, None] * nb + shell).ravel()
+    sums = np.bincount(labels, weights=kept.ravel(), minlength=len(kept) * nb)
+    S = sums.reshape(len(kept), nb) / np.bincount(shell, minlength=nb)
 
     def stat(rows):
         return np.mean(rows, axis=0) ** (1.0 / p)

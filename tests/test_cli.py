@@ -140,6 +140,38 @@ class TestEverySubcommand:
         cfg = write_cfg(tmp_path, "c.json", green_cfg(tol=tol))
         assert run("green-decay", cfg, output_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("vertical-derivative", "z_offsets", [1, "a"]),
+        ("vertical-derivative", "z_offsets", [1, 2.5]),
+        ("lambda-scaling", "lambdas", [1.0, "a"]),
+        ("covariance", "separations", [1, "a"]),
+        ("agmon-check", "mus", [0.0, "a"]),
+        ("eta-convergence", "etas", [1e-2, "a", 1e-4]),
+        ("fpp-kesten", "radii", [1, "a"]),
+        ("vertical-derivative", "z_offsets", []),
+        ("covariance", "separations", []),
+        ("fpp-kesten", "radii", []),
+        ("lambda-scaling", "lambdas", []),
+        ("green-decay", "margin", -3),
+    ])
+    def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(SMOKE_CONFIGS[subcommand], **{key: value}))
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("subcommand", ["green-decay", "lambda-scaling"])
+    @pytest.mark.parametrize("p", [0, -1.0])
+    def test_nonpositive_p_exits_2(self, tmp_path, subcommand, p):
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], p=p))
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("offsets", [{"z_offset": 50}, {"z_offset": -9},
+                                         {"x_offset": 8}, {"x_offset": -9}])
+    def test_rank_one_offset_outside_box_exits_2(self, tmp_path, offsets):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(SMOKE_CONFIGS["rank-one-check"], **offsets))
+        assert run("rank-one-check", cfg, output_dir=tmp_path / "out") == 2
+
 
 class TestManifest:
     def test_manifest_checksums_match_files(self, tmp_path):

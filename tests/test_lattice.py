@@ -4,6 +4,8 @@ import pytest
 from landscape_lab.errors import (ConfigurationError, GridMismatchError,
                                   SingularOperatorError,
                                   SolverNonConvergenceError)
+from landscape_lab import lattice
+from landscape_lab.green import delta_rhs
 from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField,
                                    apply_hamiltonian, cg_solve,
                                    dense_solve_oracle, forward_gradient_sq)
@@ -188,7 +190,8 @@ class TestCgSolve:
         assert np.all(ub.values <= ua.values + 2 * tol * scale)
 
     def test_nonconvergence_reports_history(self):
-        H = random_spec(L=8, m=20, eta=1e-6, seed=8)
+        # 2-d: a 1-d Dirichlet solve converges in one step
+        H = random_spec(d=2, L=4, m=20, eta=1e-6, seed=8)
         with pytest.raises(SolverNonConvergenceError) as exc:
             cg_solve(H, ScalarField.constant(H.grid, 1.0), tol=1e-12, max_iter=3)
         assert len(exc.value.residual_history) == 4
@@ -197,6 +200,38 @@ class TestCgSolve:
         H = random_spec(L=4, m=5)
         out = cg_solve(H, ScalarField.constant(H.grid, 0.0))
         assert np.all(out.values == 0.0)
+
+
+class TestBandedPreconditioner:
+    """1-d Dirichlet solves use the exact tridiagonal factor as preconditioner."""
+
+    @staticmethod
+    def rhs_cases(grid):
+        yield delta_rhs(grid, grid.center_node)
+        yield ScalarField.constant(grid, 1.0)
+
+    @staticmethod
+    def rel_error(x, ref):
+        return np.abs(x.values - ref.values).max() / np.abs(ref.values).max()
+
+    @pytest.mark.parametrize("L", [16, 128])
+    def test_one_iteration_matches_oracle(self, L):
+        H = random_spec(L=L, m=20, eta=1e-6, seed=L)
+        for rhs in self.rhs_cases(H.grid):
+            x = cg_solve(H, rhs, tol=1e-10, max_iter=1)
+            assert self.rel_error(x, dense_solve_oracle(H, rhs)) <= 1e-10
+
+    def test_wrong_band_costs_iterations_not_accuracy(self, monkeypatch):
+        # a preconditioner built from a scaled diagonal is SPD but inexact
+        exact = lattice._preconditioner
+        monkeypatch.setattr(lattice, "_preconditioner",
+                            lambda H, diag: exact(H, 1.5 * diag))
+        H = random_spec(L=16, m=20, eta=1e-6, seed=9)
+        for rhs in self.rhs_cases(H.grid):
+            x = cg_solve(H, rhs, tol=1e-10)
+            assert self.rel_error(x, dense_solve_oracle(H, rhs)) <= 1e-10
+            with pytest.raises(SolverNonConvergenceError):
+                cg_solve(H, rhs, tol=1e-10, max_iter=1)
 
 
 class TestDenseOracle:

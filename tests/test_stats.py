@@ -75,6 +75,26 @@ class TestGreenDecayExperiment:
             assert v == pytest.approx(np.mean([masses[z] for z in cells]),
                                       rel=1e-12)
 
+    def test_single_sample_shells_2d(self):
+        setup = ExperimentSetup(d=2, L=6, m=20, law=LAW, lam=1.0, eta=1.0,
+                                margin=1)
+        p = 2.0
+        curve = green_decay_experiment(setup, p, 1, 5)
+        H = setup.hamiltonian(5, 0)
+        masses = all_cell_masses(green_column(H, H.grid.center_node,
+                                              tol=setup.tol))
+        zc = setup.L // 2
+        interior = range(setup.margin, setup.L - setup.margin)
+        shells = {}
+        for z in np.ndindex(masses.shape):
+            if all(c in interior for c in z):
+                r = max(abs(c - zc) for c in z)
+                shells.setdefault(r, []).append(masses[z] ** p)
+        assert list(curve.distances) == sorted(shells)
+        for r, v in zip(curve.distances, curve.values):
+            assert v == pytest.approx(np.mean(shells[int(r)]) ** (1 / p),
+                                      rel=1e-12)
+
     def test_deterministic_mass_only_curve_is_monotone(self):
         setup = setup_1d(lam=0.0, eta=0.5)
         curve = green_decay_experiment(setup, 1.0, 5, 0)
