@@ -1,9 +1,15 @@
 """Reproducible experiment runner.
 
-Every experiment is a subcommand taking a JSON config (fail-closed: unknown
-keys are errors).  Each run writes, under output_dir: the data CSVs, a
-manifest.json with the config echo and file checksums, and a one-line
-summary.txt.  Exit codes: 0 ok/pass, 2 validation error, 3 solver failure,
+Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
+per subcommand, each key's type, its default (or that it is required) and
+its range rule.  Validation rejects unknown keys, wrong types and values out
+of range (n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta,
+etas, sample_index >= 0; 0 <= margin < L/2; rank-one-check's offsets inside
+the box), also when the --seed/--workers/--output flags set them, and fills
+in every default, so runners read ``cfg[key]`` only.  Each run writes, under
+output_dir: the data CSVs, a one-line summary.txt, and a manifest.json with
+the effective config (fed back as a config, it reproduces the run) and file
+checksums.  Exit codes: 0 ok/pass, 2 validation error, 3 solver failure,
 4 statistical FAIL, 5 inconclusive.
 """
 
@@ -14,8 +20,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +30,8 @@ from . import __version__
 from .disorder import (assemble_potential, default_bump, law_from_dict,
                        sample_omega)
 from .errors import (ConfigurationError, ExperimentError, FitError,
-                     LandscapeLabError, LawValidationError, PositivityError,
-                     SingularOperatorError, SolverNonConvergenceError)
+                     LawValidationError, PositivityError, SingularOperatorError,
+                     SolverNonConvergenceError)
 from .green import (agmon_inequality_check, all_cell_masses, green_column,
                     massive_domination_check, rank_one_identity_check)
 from .landscape import (derived_fields, energy_estimate_check,
@@ -63,126 +70,148 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# ------------------------------------------------------------------ schemas
+# ------------------------------------------------------------------ config tables
 
-_BASE_KEYS = {
-    "experiment": str, "output_dir": str, "master_seed": int, "workers": int,
-    "tol": float,
-}
+REQUIRED = object()
 
-SCHEMAS = {
-    "solve-landscape": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                        "lambda": float, "eta": float, "sample_index": int},
-    "green-decay": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                    "lambda": float, "eta": float, "p": float,
-                    "n_samples": int, "margin": int,
-                    "r_min": float, "r_max": float},
-    "lambda-scaling": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                       "lambdas": [float], "p": float, "n_samples": int,
-                       "margin": int, "r_min": float, "r_max": float},
-    "covariance": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                   "lambda": float, "eta": float, "observable": str,
-                   "separations": [int], "n_samples": int, "margin": int},
-    "vertical-derivative": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                            "lambda": float, "eta": float, "z_offsets": [int],
-                            "n_samples": int, "r_min": float, "r_max": float},
-    "eta-convergence": {"d": int, "L": int, "m": int, "bc": str, "law": dict,
-                        "lambda": float, "etas": [float], "n_samples": int,
-                        "ratio_lo": float, "ratio_hi": float},
-    "energy-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
-                     "eta": float, "n_samples": int},
-    "agmon-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
-                    "eta": float, "mus": [float], "weight_cap": float,
-                    "cutoff_inner": float, "cutoff_outer": float,
-                    "n_samples": int},
-    "rank-one-check": {"d": int, "L": int, "m": int, "law": dict, "lambda": float,
-                       "eta": float, "n_samples": int, "z_offset": int,
-                       "x_offset": int, "max_rel_error": float},
-    "fpp-kesten": {"d": int, "L": int, "law": dict, "gamma": float, "k": int,
-                   "radii": [int], "c_probe": float, "n_samples": int},
-    "cluster-tail": {"d": int, "L": int, "law": dict, "gamma": float, "k": int,
-                     "n_samples": int, "diam_min": int, "diam_max": int},
-    "anchor-1d": {"L": int, "law": dict, "gamma": float, "n_samples": int},
+
+class Key(NamedTuple):
+    """type: int, float, str, dict, or [t] for a non-empty list of t.
+    default: REQUIRED, a value, or a function of the keys above it in the
+    table.  rule: (text, predicate(value, cfg)), on the value or each element.
+    """
+
+    type: object
+    default: object = REQUIRED
+    rule: tuple | None = None
+
+
+def _at_least(low):
+    return (f">= {low}", lambda v, cfg: v >= low)
+
+
+_POSITIVE = ("> 0", lambda v, cfg: v > 0)
+_UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
+_BASE = {"master_seed": Key(int, 0), "workers": Key(int, 1, _at_least(1)),
+         "tol": Key(float, 1e-9, _POSITIVE), "output_dir": Key(str, None)}
+_OPERATOR = {"d": Key(int), "L": Key(int), "m": Key(int),
+             "bc": Key(str, "dirichlet"), "law": Key(dict),
+             "lambda": Key(float, rule=_at_least(0)),
+             "eta": Key(float, rule=_at_least(0))}
+_N_SAMPLES = Key(int, rule=_at_least(1))
+_P = Key(float, rule=_POSITIVE)
+_MARGIN = Key(int, 5, ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
+_K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"]),
+         _at_least(1))
+
+
+def _operator(*without):
+    return {key: spec for key, spec in _OPERATOR.items() if key not in without}
+
+
+TABLES = {name: {**_BASE, **keys} for name, keys in {
+    "solve-landscape": {**_OPERATOR, "sample_index": Key(int, 0, _at_least(0))},
+    "green-decay": {**_OPERATOR, "p": _P, "n_samples": _N_SAMPLES, "margin": _MARGIN,
+                    "r_min": Key(float, 5.0), "r_max": Key(float, 40.0)},
+    "lambda-scaling": {**_operator("lambda", "eta"),
+                       "lambdas": Key([float], rule=_POSITIVE), "p": _P,
+                       "n_samples": _N_SAMPLES, "margin": _MARGIN,
+                       "r_min": Key(float, 5.0), "r_max": Key(float, 40.0)},
+    "covariance": {**_OPERATOR, "observable": Key(str), "separations": Key([int]),
+                   "n_samples": _N_SAMPLES, "margin": _MARGIN},
+    "vertical-derivative": {
+        **_OPERATOR, "z_offsets": Key([int]), "n_samples": _N_SAMPLES,
+        "r_min": Key(float, 1.0),
+        "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])))},
+    "eta-convergence": {**_operator("eta"), "etas": Key([float], rule=_at_least(0)),
+                        "n_samples": _N_SAMPLES, "ratio_lo": Key(float, 5.0),
+                        "ratio_hi": Key(float, 20.0)},
+    "energy-check": {**_operator("bc"), "n_samples": _N_SAMPLES},
+    "agmon-check": {
+        **_operator("bc"),
+        "mus": Key([float], lambda cfg: [0.0, 0.1 * float(np.sqrt(cfg["lambda"]))]),
+        "weight_cap": Key(float, lambda cfg: cfg["L"] / 4.0),
+        "cutoff_inner": Key(float, 1.0),
+        "cutoff_outer": Key(float, lambda cfg: cfg["L"] / 2.0 - 1.0),
+        "n_samples": _N_SAMPLES},
+    "rank-one-check": {
+        **_operator("bc"), "n_samples": _N_SAMPLES,
+        "z_offset": Key(int, 2, ("inside the box",
+                                 lambda v, cfg: 0 <= cfg["L"] // 2 + v < cfg["L"])),
+        "x_offset": Key(int, -3, ("inside the box", lambda v, cfg: 0 <= (
+            (cfg["L"] // 2 + v) * cfg["m"] + cfg["m"] // 2) < cfg["L"] * cfg["m"])),
+        "max_rel_error": Key(float, 1e-6)},
+    "fpp-kesten": {"d": Key(int), "L": Key(int), "law": Key(dict),
+                   "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
+                   "c_probe": Key(float), "n_samples": _N_SAMPLES},
+    "cluster-tail": {"d": Key(int), "L": Key(int), "law": Key(dict),
+                     "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
+                     "diam_min": Key(int, 2), "diam_max": Key(int, 10)},
+    "anchor-1d": {"L": Key(int), "law": Key(dict), "gamma": _UPPER_QUANTILE,
+                  "n_samples": _N_SAMPLES},
     "selftest": {},
-}
-
-_REQUIRED = {
-    "solve-landscape": {"d", "L", "m", "law", "lambda", "eta"},
-    "green-decay": {"d", "L", "m", "law", "lambda", "eta", "p", "n_samples"},
-    "lambda-scaling": {"d", "L", "m", "law", "lambdas", "p", "n_samples"},
-    "covariance": {"d", "L", "m", "law", "lambda", "eta", "observable",
-                   "separations", "n_samples"},
-    "vertical-derivative": {"d", "L", "m", "law", "lambda", "eta", "z_offsets",
-                            "n_samples"},
-    "eta-convergence": {"d", "L", "m", "law", "lambda", "etas", "n_samples"},
-    "energy-check": {"d", "L", "m", "law", "lambda", "eta", "n_samples"},
-    "agmon-check": {"d", "L", "m", "law", "lambda", "eta", "n_samples"},
-    "rank-one-check": {"d", "L", "m", "law", "lambda", "eta", "n_samples"},
-    "fpp-kesten": {"d", "L", "law", "radii", "c_probe", "n_samples"},
-    "cluster-tail": {"d", "L", "law", "gamma", "n_samples"},
-    "anchor-1d": {"L", "law", "n_samples"},
-    "selftest": set(),
-}
+}.items()}
 
 
-def _is_type(val, want) -> bool:
-    """JSON type check; ints pass as floats, bools pass as neither."""
-    if isinstance(val, bool):
-        return False
-    if isinstance(want, list):    # [elem_type]: a non-empty list of that type
-        return (isinstance(val, list) and len(val) > 0
-                and all(_is_type(v, want[0]) for v in val))
-    return isinstance(val, (int, float) if want is float else want)
+def _typed(val, want):
+    """val as a `want`, or None if it is not one.
+
+    JSON ints pass as floats (and become floats), bools pass as nothing,
+    and [t] takes a non-empty list of t.
+    """
+    if isinstance(want, list):
+        items = [_typed(v, want[0]) for v in val] if isinstance(val, list) else []
+        return items if items and None not in items else None
+    if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
+        return None
+    return float(val) if want is float else val
 
 
 def validate_config(subcommand: str, cfg: dict) -> dict:
-    if subcommand not in SCHEMAS:
+    """The effective config: cfg checked against its table, defaults filled in."""
+    if subcommand not in TABLES:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
-    allowed = dict(_BASE_KEYS)
-    allowed.update(SCHEMAS[subcommand])
-    errors = []
-    for key in cfg:
-        if key not in allowed:
-            errors.append(f"unknown key {key!r}")
-    for key in _REQUIRED[subcommand]:
-        if key not in cfg:
+    table = TABLES[subcommand]
+    errors = [f"unknown key {key!r}" for key in cfg if key not in table]
+    out = {}
+    for key, spec in table.items():
+        if key in cfg:
+            out[key] = _typed(cfg[key], spec.type)
+            if out[key] is None:
+                name = (f"a non-empty list of {spec.type[0].__name__}"
+                        if isinstance(spec.type, list) else spec.type.__name__)
+                errors.append(f"key {key!r} must be {name}")
+        elif spec.default is REQUIRED:
             errors.append(f"missing required key {key!r}")
-    for key, val in cfg.items():
-        want = allowed.get(key)
-        if want is not None and not _is_type(val, want):
-            name = (f"a non-empty list of {want[0].__name__}"
-                    if isinstance(want, list) else want.__name__)
-            errors.append(f"key {key!r} must be {name}")
-    for key, low in (("n_samples", 1), ("margin", 0)):
-        if isinstance(cfg.get(key), int) and cfg[key] < low:
-            errors.append(f"{key} must be >= {low}")
-    for key in ("tol", "p"):
-        if isinstance(cfg.get(key), (int, float)) and cfg[key] <= 0:
-            errors.append(f"{key} must be > 0")
     if errors:
         raise ConfigurationError("; ".join(errors))
-    out = dict(cfg)
-    out.setdefault("master_seed", 0)
-    out.setdefault("workers", 1)
-    out.setdefault("tol", 1e-9)
+    for key, spec in table.items():     # in table order, so defaults see the keys above
+        if key not in out:
+            if errors:                  # a default may be computed from a rejected value
+                continue
+            out[key] = spec.default(out) if callable(spec.default) else spec.default
+        if spec.rule is not None:
+            text, holds = spec.rule
+            values = out[key] if isinstance(out[key], list) else [out[key]]
+            if not all(holds(v, out) for v in values):
+                errors.append(f"{key} must be {text}")
+    if errors:
+        raise ConfigurationError("; ".join(errors))
     return out
 
 
-def _setup_from_cfg(cfg: dict, bc_default: str = "dirichlet") -> ExperimentSetup:
-    """lambda and eta stay None for the subcommands that sweep them."""
-    lam, eta = (float(cfg[key]) if key in cfg else None for key in ("lambda", "eta"))
-    return ExperimentSetup(
-        d=cfg["d"], L=cfg["L"], m=cfg["m"], law=law_from_dict(cfg["law"]),
-        lam=lam, eta=eta,
-        bc=cfg.get("bc", bc_default), tol=float(cfg["tol"]),
-        margin=int(cfg.get("margin", 5)))
+def _setup(cfg: dict, **fixed) -> ExperimentSetup:
+    """fixed sets the fields the table lacks: lam/eta where swept, bc for energy-check."""
+    keys = ("d", "L", "m", "bc", "lambda", "eta", "tol", "margin")
+    fields = {"lam" if key == "lambda" else key: cfg[key] for key in keys if key in cfg}
+    return ExperimentSetup(law=law_from_dict(cfg["law"]), **fields, **fixed)
 
 
 # ------------------------------------------------------------------ runners
 
 def _run_solve_landscape(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    H = setup.hamiltonian(cfg["master_seed"], cfg.get("sample_index", 0))
+    setup = _setup(cfg)
+    H = setup.hamiltonian(cfg["master_seed"], cfg["sample_index"])
     sol = solve_landscape(H, tol=setup.tol)
     der = derived_fields(sol)
     grid = H.grid
@@ -200,43 +229,45 @@ def _run_solve_landscape(cfg, out):
                   "max_u": float(sol.u.values.max())}
 
 
-def _run_green_decay(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    curve = green_decay_experiment(setup, float(cfg["p"]), cfg["n_samples"],
-                                   cfg["master_seed"], workers=cfg["workers"])
-    write_csv(out / "curve.csv", ["distance", "value", "ci"],
+def _write_curve(path, curve):
+    write_csv(path, ["distance", "value", "ci"],
               zip(curve.distances, curve.values, curve.ci))
-    r_min = float(cfg.get("r_min", 5.0))
-    r_max = float(cfg.get("r_max", 40.0))
-    fit = fit_exponential_decay(curve, r_min, r_max)
+
+
+def _fit_and_write(curve, cfg, out):
+    _write_curve(out / "curve.csv", curve)
+    fit = fit_exponential_decay(curve, cfg["r_min"], cfg["r_max"])
     write_csv(out / "fit.csv",
               ["rate", "log_prefactor", "r_min", "r_max", "r_squared", "n_points"],
               [[fit.rate, fit.log_prefactor, fit.r_min, fit.r_max,
                 fit.r_squared, fit.n_points]])
+    return fit
+
+
+def _run_green_decay(cfg, out):
+    curve = green_decay_experiment(_setup(cfg), cfg["p"], cfg["n_samples"],
+                                   cfg["master_seed"], workers=cfg["workers"])
+    fit = _fit_and_write(curve, cfg, out)
     passed = fit.rate > 0.0 and fit.r_squared >= 0.9
     return passed, {"fit": asdict(fit)}
 
 
 def _run_lambda_scaling(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    res = lambda_scaling_curve(setup, cfg["lambdas"], float(cfg["p"]),
-                               cfg["n_samples"], cfg["master_seed"],
-                               r_min=float(cfg.get("r_min", 5.0)),
-                               r_max=float(cfg.get("r_max", 40.0)),
+    res = lambda_scaling_curve(_setup(cfg, lam=None, eta=None), cfg["lambdas"],
+                               cfg["p"], cfg["n_samples"], cfg["master_seed"],
+                               r_min=cfg["r_min"], r_max=cfg["r_max"],
                                workers=cfg["workers"])
     rows = [[lam, f.rate, f.r_squared, res["ratios"][lam]]
             for lam, f in sorted(res["fits"].items())]
     write_csv(out / "fits.csv", ["lambda", "rate", "r_squared", "ratio"], rows)
     for lam, curve in sorted(res["curves"].items()):
-        write_csv(out / f"curve_lambda_{lam:g}.csv", ["distance", "value", "ci"],
-                  zip(curve.distances, curve.values, curve.ci))
+        _write_curve(out / f"curve_lambda_{lam:g}.csv", curve)
     passed = all(f.rate > 0.0 for f in res["fits"].values())
     return passed, {"rates": {str(k): v.rate for k, v in res["fits"].items()}}
 
 
 def _run_covariance(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    pts = covariance_experiment(setup, cfg["observable"], cfg["separations"],
+    pts = covariance_experiment(_setup(cfg), cfg["observable"], cfg["separations"],
                                 cfg["n_samples"], cfg["master_seed"],
                                 workers=cfg["workers"])
     write_csv(out / "covariance.csv", ["separation", "cov", "ci", "observable"],
@@ -247,30 +278,21 @@ def _run_covariance(cfg, out):
 
 
 def _run_vertical_derivative(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    curve = vertical_derivative_decay(setup, cfg["z_offsets"], cfg["n_samples"],
+    curve = vertical_derivative_decay(_setup(cfg), cfg["z_offsets"], cfg["n_samples"],
                                       cfg["master_seed"], workers=cfg["workers"])
-    write_csv(out / "curve.csv", ["distance", "value", "ci"],
-              zip(curve.distances, curve.values, curve.ci))
-    fit = fit_exponential_decay(curve, float(cfg.get("r_min", 1.0)),
-                                float(cfg.get("r_max", curve.distances.max())))
-    write_csv(out / "fit.csv",
-              ["rate", "log_prefactor", "r_min", "r_max", "r_squared", "n_points"],
-              [[fit.rate, fit.log_prefactor, fit.r_min, fit.r_max,
-                fit.r_squared, fit.n_points]])
+    fit = _fit_and_write(curve, cfg, out)
     return fit.rate > 0.0, {"fit": asdict(fit)}
 
 
 def _run_eta_convergence(cfg, out):
-    setup = _setup_from_cfg(cfg)
+    setup = _setup(cfg, eta=None)
     grid = setup.grid()
-    bump = setup.bump
     rows_all = []
     ratios = []
     for i in range(cfg["n_samples"]):
         omega = sample_omega(setup.law, (setup.L,) * setup.d,
                              cfg["master_seed"], i)
-        rows = eta_convergence_study(omega, bump, grid, setup.lam,
+        rows = eta_convergence_study(omega, setup.bump, grid, setup.lam,
                                      cfg["etas"], tol=min(setup.tol, 1e-10))
         for r in rows:
             rows_all.append([i, r.eta, r.sup_diff, r.sup_grad_diff, r.ratio_to_eta])
@@ -279,14 +301,12 @@ def _run_eta_convergence(cfg, out):
               ["sample", "eta", "sup_diff", "sup_grad_diff", "ratio_to_eta"],
               rows_all)
     mean_ratio = float(np.mean(ratios))
-    lo = float(cfg.get("ratio_lo", 5.0))
-    hi = float(cfg.get("ratio_hi", 20.0))
+    lo, hi = cfg["ratio_lo"], cfg["ratio_hi"]
     return lo <= mean_ratio <= hi, {"mean_ratio": mean_ratio, "corridor": [lo, hi]}
 
 
 def _run_energy_check(cfg, out):
-    setup = _setup_from_cfg(cfg, bc_default="periodic")
-    setup = replace(setup, bc="periodic")
+    setup = _setup(cfg, bc="periodic")
     sols = [solve_landscape(setup.hamiltonian(cfg["master_seed"], i), tol=setup.tol)
             for i in range(cfg["n_samples"])]
     report = energy_estimate_check(sols)
@@ -296,17 +316,14 @@ def _run_energy_check(cfg, out):
 
 
 def _run_agmon_check(cfg, out):
-    setup = _setup_from_cfg(cfg)
-    mus = [float(v) for v in cfg.get("mus", [0.0, 0.1 * np.sqrt(float(cfg["lambda"]))])]
-    cap = float(cfg.get("weight_cap", setup.L / 4.0))
-    a = float(cfg.get("cutoff_inner", 1.0))
-    b = float(cfg.get("cutoff_outer", setup.L / 2.0 - 1.0))
+    setup = _setup(cfg)
     rows, ok = [], True
     for i in range(cfg["n_samples"]):
         H = setup.hamiltonian(cfg["master_seed"], i)
         G = green_column(H, H.grid.center_node, tol=setup.tol)
-        for mu in mus:
-            rep = agmon_inequality_check(G, mu, cap, a, b)
+        for mu in cfg["mus"]:
+            rep = agmon_inequality_check(G, mu, cfg["weight_cap"], cfg["cutoff_inner"],
+                                         cfg["cutoff_outer"])
             rows.append([i, mu, rep.lhs, rep.rhs, rep.passed])
             ok = ok and rep.passed
     write_csv(out / "agmon.csv", ["sample", "mu", "lhs", "rhs", "passed"], rows)
@@ -314,36 +331,24 @@ def _run_agmon_check(cfg, out):
 
 
 def _run_rank_one(cfg, out):
-    setup = _setup_from_cfg(cfg)
+    setup = _setup(cfg)
     grid = setup.grid()
-    bump = setup.bump
-    z_off = int(cfg.get("z_offset", 2))
-    x_off = int(cfg.get("x_offset", -3))
-    max_err = float(cfg.get("max_rel_error", 1e-6))
-    zc = grid.L // 2
-    z = (zc + z_off,) * grid.d
-    x = tuple(c + x_off * grid.m for c in grid.center_node)
-    if not 0 <= z[0] < grid.L:
-        raise ConfigurationError(f"z_offset {z_off} puts the site outside the box")
-    if not 0 <= x[0] < grid.n_per_side:
-        raise ConfigurationError(f"x_offset {x_off} puts the point outside the box")
+    z = (grid.L // 2 + cfg["z_offset"],) * grid.d
+    x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
     rows, worst = [], 0.0
     for i in range(cfg["n_samples"]):
         omega = sample_omega(setup.law, (setup.L,) * setup.d, cfg["master_seed"], i)
-        rep = rank_one_identity_check(omega, z, grid, bump, setup.lam, setup.eta, x)
+        rep = rank_one_identity_check(omega, z, grid, setup.bump, setup.lam, setup.eta, x)
         rows.append([i, rep.lhs, rep.rhs, rep.relative_error])
         worst = max(worst, rep.relative_error)
     write_csv(out / "rank_one.csv", ["sample", "lhs", "rhs", "relative_error"], rows)
-    return worst <= max_err, {"max_relative_error": worst}
+    return worst <= cfg["max_rel_error"], {"max_relative_error": worst}
 
 
 def _run_fpp_kesten(cfg, out):
-    law = law_from_dict(cfg["law"])
-    gamma = float(cfg.get("gamma", law.upper_quantile()))
-    rows = kesten_tail_experiment(law, cfg["d"], cfg["L"], gamma,
-                                  cfg["radii"], float(cfg["c_probe"]),
-                                  cfg["n_samples"], cfg["master_seed"],
-                                  k=cfg.get("k"))
+    rows = kesten_tail_experiment(law_from_dict(cfg["law"]), cfg["d"], cfg["L"],
+                                  cfg["gamma"], cfg["radii"], cfg["c_probe"],
+                                  cfg["n_samples"], cfg["master_seed"], k=cfg["k"])
     write_csv(out / "kesten.csv",
               ["radius", "frequency", "ci_low", "ci_high", "threshold"],
               [[r.radius, r.frequency, r.ci_low, r.ci_high, r.threshold]
@@ -354,17 +359,13 @@ def _run_fpp_kesten(cfg, out):
 
 def _run_cluster_tail(cfg, out):
     law = law_from_dict(cfg["law"])
-    gamma = float(cfg["gamma"])
-    k = cfg.get("k") or choose_k(law, gamma, cfg["d"])
-    n_min = int(cfg.get("diam_min", 2))
-    n_max = int(cfg.get("diam_max", 10))
     diams = []
     for i in range(cfg["n_samples"]):
         omega = sample_omega(law, (cfg["L"],) * cfg["d"], cfg["master_seed"], i)
-        rep = cluster_analysis(coarse_grain(omega, k, gamma))
+        rep = cluster_analysis(coarse_grain(omega, cfg["k"], cfg["gamma"]))
         diams.extend(rep.closed_component_diameters)
     diams = np.asarray(diams)
-    ns = np.arange(n_min, n_max + 1)
+    ns = np.arange(cfg["diam_min"], cfg["diam_max"] + 1)
     tail = np.asarray([(diams >= n).mean() if diams.size else 0.0 for n in ns])
     write_csv(out / "diameter_tail.csv", ["n", "tail_prob", "count"],
               [[n, t, int((diams >= n).sum())] for n, t in zip(ns, tail)])
@@ -378,10 +379,8 @@ def _run_cluster_tail(cfg, out):
 
 
 def _run_anchor_1d(cfg, out):
-    law = law_from_dict(cfg["law"])
-    gamma = float(cfg.get("gamma", law.upper_quantile()))
-    rep = anchoring_experiment_1d(law, cfg["L"], gamma, cfg["n_samples"],
-                                  cfg["master_seed"])
+    rep = anchoring_experiment_1d(law_from_dict(cfg["law"]), cfg["L"], cfg["gamma"],
+                                  cfg["n_samples"], cfg["master_seed"])
     write_csv(out / "anchor_moments.csv", ["p", "moment"],
               list(zip(rep.p_values, rep.moments)))
     if rep.status == "INCONCLUSIVE":
@@ -452,18 +451,15 @@ _RUNNERS = {
 def run(subcommand: str, config_path, output_dir=None, workers=None,
         seed=None) -> int:
     """Execute one experiment; returns the process exit code."""
+    flags = {"master_seed": seed, "workers": workers,
+             "output_dir": None if output_dir is None else str(output_dir)}
     try:
         raw = json.loads(Path(config_path).read_text())
         if not isinstance(raw, dict):
             raise ConfigurationError("config must be a JSON object")
+        raw.update((key, val) for key, val in flags.items() if val is not None)
         cfg = validate_config(subcommand, raw)
-        if workers is not None:
-            cfg["workers"] = int(workers)
-        if seed is not None:
-            cfg["master_seed"] = int(seed)
-        if output_dir is not None:
-            cfg["output_dir"] = str(output_dir)
-        if "output_dir" not in cfg:
+        if cfg["output_dir"] is None:
             raise ConfigurationError("output_dir missing (config key or --output)")
     except (ConfigurationError, LawValidationError, json.JSONDecodeError,
             FileNotFoundError, KeyError) as exc:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
-from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
-                      forward_gradient_sq)
+from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cell_reduce,
+                      cg_solve, forward_gradient_sq)
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,7 @@ def derived_fields(sol: LandscapeSolution):
             f"u dropped below the periodic barrier {sol.floor:.3e}")
     inv_u = ScalarField(grid=grid, values=1.0 / u)
     logu = np.log(u)
-    comps = []
-    for ax in range(grid.d):
-        if grid.bc == "periodic":
-            diff = (np.roll(logu, -1, axis=ax) - logu) * grid.m
-        else:
-            diff = np.zeros_like(logu)
-            lo = [slice(None)] * grid.d
-            hi = [slice(None)] * grid.d
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            diff[tuple(lo)] = (logu[tuple(hi)] - logu[tuple(lo)]) * grid.m
-        comps.append(ScalarField(grid=grid, values=diff))
+    boundary = "wrap" if grid.bc == "periodic" else "edge"
+    comps = [ScalarField(grid=grid, values=_forward_diff(logu, ax, boundary) * grid.m)
+             for ax in range(grid.d)]
     return {"inv_u": inv_u, "grad_log_u": comps}

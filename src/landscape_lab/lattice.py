@@ -272,6 +272,17 @@ def dense_solve_oracle(H: HamiltonianSpec, rhs: ScalarField) -> ScalarField:
     return ScalarField(grid=H.grid, values=x.reshape(H.grid.shape))
 
 
+def _forward_diff(values: np.ndarray, ax: int, boundary: str) -> np.ndarray:
+    """values[i+1] - values[i] along ax, one per node.
+
+    Past the last node, 'wrap' reads the first node, 'zero' a zero ghost
+    node, and 'edge' the last node again (a zero difference).
+    """
+    past = 0.0 if boundary == "zero" else np.take(
+        values, [0 if boundary == "wrap" else -1], axis=ax)
+    return np.diff(values, axis=ax, append=past)
+
+
 def forward_gradient_sq(values: np.ndarray, grid: Grid, boundary: str = "auto") -> np.ndarray:
     """Per-node sum over axes of squared forward differences / h^2.
 
@@ -279,20 +290,9 @@ def forward_gradient_sq(values: np.ndarray, grid: Grid, boundary: str = "auto") 
     boundary value (zero gradient there), 'auto' picks from the grid bc
     ('zero' for dirichlet, wrap for periodic).
     """
+    if boundary == "auto":
+        boundary = "wrap" if grid.bc == "periodic" else "zero"
     out = np.zeros_like(values)
     for ax in range(values.ndim):
-        if boundary == "auto" and grid.bc == "periodic":
-            diff = np.roll(values, -1, axis=ax) - values
-        else:
-            lo = [slice(None)] * values.ndim
-            hi = [slice(None)] * values.ndim
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            diff = np.zeros_like(values)
-            diff[tuple(lo)] = values[tuple(hi)] - values[tuple(lo)]
-            if boundary != "edge":
-                last = [slice(None)] * values.ndim
-                last[ax] = slice(-1, None)
-                diff[tuple(last)] = -values[tuple(last)]  # ghost zero
-        out += (diff * grid.m) ** 2
+        out += (_forward_diff(values, ax, boundary) * grid.m) ** 2
     return out

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import BumpProfile, DisorderLaw, resample_site, sample_omega, assemble_potential
-from .errors import ConfigurationError, ExperimentError, FitError, LandscapeLabError
+from .errors import (ConfigurationError, ExperimentError, FitError, PositivityError,
+                     SingularOperatorError, SolverNonConvergenceError)
 from .green import all_cell_masses, green_column
 from .landscape import derived_fields, solve_landscape
 from .lattice import Grid, HamiltonianSpec
@@ -100,7 +101,7 @@ def _green_sample(args):
         H = setup.hamiltonian(master_seed, i)
         G = green_column(H, H.grid.center_node, tol=setup.tol)
         return all_cell_masses(G)
-    except LandscapeLabError as exc:
+    except (SolverNonConvergenceError, SingularOperatorError, PositivityError) as exc:
         log.warning("sample %d skipped: %s", i, exc)
         return None
 

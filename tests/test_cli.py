@@ -3,8 +3,10 @@ import hashlib
 
 import pytest
 
-from landscape_lab.cli import _RUNNERS, run, validate_config, write_csv
+from landscape_lab.cli import TABLES, _RUNNERS, run, validate_config, write_csv
+from landscape_lab.disorder import law_from_dict
 from landscape_lab.errors import ConfigurationError
+from landscape_lab.percolation import choose_k
 
 LAW = {"kind": "bernoulli", "q": 0.5}
 
@@ -105,7 +107,9 @@ SMOKE_CONFIGS = {
                        "r_min": 1.0, "r_max": 5.0},
     "covariance": dict(TINY_1D, observable="u", separations=[1, 2],
                        n_samples=3, margin=2),
-    "vertical-derivative": dict(TINY_1D, z_offsets=[1, 2, 3, 4], n_samples=2),
+    # a uniform law moves every resampled site, so the fit has its 4 bins
+    "vertical-derivative": dict(TINY_1D, law={"kind": "uniform01"},
+                                z_offsets=[1, 2, 3, 4], n_samples=2),
     "eta-convergence": {"d": 1, "L": 16, "m": 20, "law": LAW, "lambda": 1.0,
                         "etas": [1e-2, 1e-3, 1e-4], "n_samples": 1},
     "energy-check": dict(TINY_1D, n_samples=2),
@@ -153,11 +157,27 @@ class TestEverySubcommand:
         ("fpp-kesten", "radii", []),
         ("lambda-scaling", "lambdas", []),
         ("green-decay", "margin", -3),
+        ("green-decay", "margin", 8),           # = L/2: no cell left to bin
+        ("green-decay", "lambda", -1.0),
+        ("green-decay", "eta", -1.0),
+        ("lambda-scaling", "lambdas", [-1.0, 1.0]),
+        ("lambda-scaling", "lambdas", [0.0, 1.0]),
+        ("eta-convergence", "etas", [1e-2, 1e-3, -1e-4]),
+        ("green-decay", "workers", 0),
+        ("green-decay", "workers", -2),
+        ("cluster-tail", "k", 0),
+        ("solve-landscape", "sample_index", -1),
+        ("green-decay", "experiment", "x"),     # no longer a key
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS[subcommand], **{key: value}))
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_flag_exits_2(self, tmp_path, workers):
+        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS["green-decay"])
+        assert run("green-decay", cfg, output_dir=tmp_path / "out", workers=workers) == 2
 
     @pytest.mark.parametrize("subcommand", ["green-decay", "lambda-scaling"])
     @pytest.mark.parametrize("p", [0, -1.0])
@@ -171,6 +191,42 @@ class TestEverySubcommand:
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS["rank-one-check"], **offsets))
         assert run("rank-one-check", cfg, output_dir=tmp_path / "out") == 2
+
+
+class TestEffectiveConfig:
+    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
+    def test_manifest_holds_effective_config_and_replays(self, tmp_path, subcommand):
+        given = SMOKE_CONFIGS[subcommand]
+        a, b = tmp_path / "a", tmp_path / "b"
+        code = run(subcommand, write_cfg(tmp_path, "c.json", given), output_dir=a)
+        effective = json.loads((a / "manifest.json").read_text())["config"]
+        table = TABLES[subcommand]
+        assert set(effective) == set(table) - {"output_dir"}
+        for key, spec in table.items():
+            if key in given:
+                assert effective[key] == given[key]
+            elif key != "output_dir" and not callable(spec.default):
+                assert effective[key] == spec.default
+        assert run(subcommand, write_cfg(tmp_path, "e.json", effective), output_dir=b) == code
+        names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_computed_defaults(self):
+        agmon = validate_config("agmon-check", dict(TINY_1D, n_samples=1, **{"lambda": 4}))
+        assert agmon["mus"] == [0.0, 0.2] and agmon["lambda"] == 4.0
+        assert agmon["weight_cap"] == 4.0 and agmon["cutoff_outer"] == 7.0
+        vert = validate_config("vertical-derivative",
+                               dict(TINY_1D, z_offsets=[2, -5, 3], n_samples=1))
+        assert vert["r_min"] == 1.0 and vert["r_max"] == 5.0
+        fpp = {"d": 2, "L": 65, "law": {"kind": "uniform01"}, "radii": [1, 2],
+               "c_probe": 0.5, "n_samples": 1}
+        out = validate_config("fpp-kesten", fpp)
+        law = law_from_dict(fpp["law"])
+        assert out["gamma"] == law.upper_quantile() == 0.75
+        assert out["k"] == choose_k(law, 0.75, 2)
+        assert validate_config("fpp-kesten", dict(fpp, gamma=0.5, k=2))["k"] == 2
 
 
 class TestManifest:

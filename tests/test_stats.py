@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landscape_lab.disorder import bernoulli, uniform01
-from landscape_lab.errors import ConfigurationError, FitError
+from landscape_lab import stats
+from landscape_lab.errors import (ConfigurationError, ExperimentError, FitError,
+                                   SolverNonConvergenceError)
 from landscape_lab.green import all_cell_masses, green_column
 from landscape_lab.landscape import solve_landscape
 from landscape_lab.stats import (ExperimentSetup, MomentCurve,
@@ -125,6 +127,28 @@ class TestGreenDecayExperiment:
             j = np.searchsorted(rs, 2 * r)
             if j < len(rs) and rs[j] == 2 * r:
                 assert vals[j] <= vals[i]
+
+    def test_configuration_error_is_raised_not_skipped(self):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            green_decay_experiment(setup_1d(lam=-1.0), 1.0, 2, 0)
+
+    @pytest.mark.parametrize("n_failed, skipped", [(1, True), (2, False)])
+    def test_solver_failures_skipped_up_to_5_percent(self, monkeypatch, n_failed, skipped):
+        solve, calls = stats.green_column, []
+
+        def failing(H, x0, tol):      # serial run: the first n_failed samples fail
+            calls.append(x0)
+            if len(calls) <= n_failed:
+                raise SolverNonConvergenceError("stalled")
+            return solve(H, x0, tol=tol)
+
+        monkeypatch.setattr(stats, "green_column", failing)
+        setup = setup_1d(L=16, margin=2)
+        if skipped:
+            assert np.all(np.isfinite(green_decay_experiment(setup, 1.0, 20, 0).values))
+        else:
+            with pytest.raises(ExperimentError, match="2/20"):
+                green_decay_experiment(setup, 1.0, 20, 0)
 
     def test_worker_count_independence(self):
         setup = setup_1d()
