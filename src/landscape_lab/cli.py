@@ -4,13 +4,16 @@ Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
 per subcommand, each key's type, its default (or that it is required) and
 its range rule.  Validation rejects unknown keys, wrong types and values out
 of range (n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta,
-etas, sample_index >= 0; 0 <= margin < L/2; rank-one-check's offsets inside
-the box), also when the --seed/--workers/--output flags set them, and fills
-in every default, so runners read ``cfg[key]`` only.  Each run writes, under
-output_dir: the data CSVs, a one-line summary.txt, and a manifest.json with
-the effective config (fed back as a config, it reproduces the run) and file
-checksums.  Exit codes: 0 ok/pass, 2 validation error, 3 solver failure,
-4 statistical FAIL, 5 inconclusive.
+etas, sample_index >= 0; 0 <= margin < L/2; r_max > r_min; ratio_hi >=
+ratio_lo; diam_max >= diam_min; rank-one-check's offsets inside the box),
+also when the --seed/--workers/--output flags set them, and fills in every
+default, so runners read ``cfg[key]`` only.  Samples run through
+``stats._pool_map``: any worker count gives the same bytes, and a failed
+solve skips its sample (more than 5 % skipped exits 3).  Each run writes,
+under output_dir: the data CSVs, a one-line summary.txt, and a manifest.json
+with the effective config (fed back as a config, it reproduces the run) and
+file checksums.  Exit codes: 0 ok/pass, 2 validation error, 3 solver
+failure, 4 statistical FAIL, 5 inconclusive.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .disorder import (assemble_potential, default_bump, law_from_dict,
-                       sample_omega)
+from .disorder import law_from_dict, sample_omega
 from .errors import (ConfigurationError, ExperimentError, FitError,
                      LawValidationError, PositivityError, SingularOperatorError,
                      SolverNonConvergenceError)
@@ -40,7 +42,7 @@ from .lattice import (Grid, HamiltonianSpec, ScalarField, apply_hamiltonian,
                       cg_solve, dense_solve_oracle)
 from .percolation import (anchoring_experiment_1d, choose_k, cluster_analysis,
                           coarse_grain, kesten_tail_experiment)
-from .stats import (ExperimentSetup, covariance_experiment,
+from .stats import (ExperimentSetup, _pool_map, covariance_suite,
                     fit_exponential_decay, green_decay_experiment,
                     lambda_scaling_curve, vertical_derivative_decay)
 
@@ -90,6 +92,10 @@ def _at_least(low):
     return (f">= {low}", lambda v, cfg: v >= low)
 
 
+def _not_below(key):
+    return (f">= {key}", lambda v, cfg: v >= cfg[key])
+
+
 _POSITIVE = ("> 0", lambda v, cfg: v > 0)
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
 _BASE = {"master_seed": Key(int, 0), "workers": Key(int, 1, _at_least(1)),
@@ -103,6 +109,8 @@ _P = Key(float, rule=_POSITIVE)
 _MARGIN = Key(int, 5, ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
 _K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"]),
          _at_least(1))
+_ABOVE_R_MIN = ("> r_min", lambda v, cfg: v > cfg["r_min"])
+_FIT_WINDOW = {"r_min": Key(float, 5.0), "r_max": Key(float, 40.0, _ABOVE_R_MIN)}
 
 
 def _operator(*without):
@@ -112,20 +120,20 @@ def _operator(*without):
 TABLES = {name: {**_BASE, **keys} for name, keys in {
     "solve-landscape": {**_OPERATOR, "sample_index": Key(int, 0, _at_least(0))},
     "green-decay": {**_OPERATOR, "p": _P, "n_samples": _N_SAMPLES, "margin": _MARGIN,
-                    "r_min": Key(float, 5.0), "r_max": Key(float, 40.0)},
+                    **_FIT_WINDOW},
     "lambda-scaling": {**_operator("lambda", "eta"),
                        "lambdas": Key([float], rule=_POSITIVE), "p": _P,
-                       "n_samples": _N_SAMPLES, "margin": _MARGIN,
-                       "r_min": Key(float, 5.0), "r_max": Key(float, 40.0)},
+                       "n_samples": _N_SAMPLES, "margin": _MARGIN, **_FIT_WINDOW},
     "covariance": {**_OPERATOR, "observable": Key(str), "separations": Key([int]),
                    "n_samples": _N_SAMPLES, "margin": _MARGIN},
     "vertical-derivative": {
         **_OPERATOR, "z_offsets": Key([int]), "n_samples": _N_SAMPLES,
         "r_min": Key(float, 1.0),
-        "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])))},
+        "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])),
+                     _ABOVE_R_MIN)},
     "eta-convergence": {**_operator("eta"), "etas": Key([float], rule=_at_least(0)),
                         "n_samples": _N_SAMPLES, "ratio_lo": Key(float, 5.0),
-                        "ratio_hi": Key(float, 20.0)},
+                        "ratio_hi": Key(float, 20.0, _not_below("ratio_lo"))},
     "energy-check": {**_operator("bc"), "n_samples": _N_SAMPLES},
     "agmon-check": {
         **_operator("bc"),
@@ -146,7 +154,8 @@ TABLES = {name: {**_BASE, **keys} for name, keys in {
                    "c_probe": Key(float), "n_samples": _N_SAMPLES},
     "cluster-tail": {"d": Key(int), "L": Key(int), "law": Key(dict),
                      "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
-                     "diam_min": Key(int, 2), "diam_max": Key(int, 10)},
+                     "diam_min": Key(int, 2),
+                     "diam_max": Key(int, 10, _not_below("diam_min"))},
     "anchor-1d": {"L": Key(int), "law": Key(dict), "gamma": _UPPER_QUANTILE,
                   "n_samples": _N_SAMPLES},
     "selftest": {},
@@ -267,9 +276,9 @@ def _run_lambda_scaling(cfg, out):
 
 
 def _run_covariance(cfg, out):
-    pts = covariance_experiment(_setup(cfg), cfg["observable"], cfg["separations"],
-                                cfg["n_samples"], cfg["master_seed"],
-                                workers=cfg["workers"])
+    pts = covariance_suite(_setup(cfg), [cfg["observable"]], cfg["separations"],
+                           cfg["n_samples"], cfg["master_seed"],
+                           workers=cfg["workers"])[cfg["observable"]]
     write_csv(out / "covariance.csv", ["separation", "cov", "ci", "observable"],
               [[p.separation, p.cov, p.ci, p.observable] for p in pts])
     near, far = pts[0], pts[-1]
@@ -284,71 +293,74 @@ def _run_vertical_derivative(cfg, out):
     return fit.rate > 0.0, {"fit": asdict(fit)}
 
 
+def _eta_sample(i, setup, cfg):
+    return eta_convergence_study(setup.omega(cfg["master_seed"], i), setup.bump,
+                                 setup.grid(), setup.lam, cfg["etas"],
+                                 tol=min(setup.tol, 1e-10))
+
+
 def _run_eta_convergence(cfg, out):
-    setup = _setup(cfg, eta=None)
-    grid = setup.grid()
-    rows_all = []
-    ratios = []
-    for i in range(cfg["n_samples"]):
-        omega = sample_omega(setup.law, (setup.L,) * setup.d,
-                             cfg["master_seed"], i)
-        rows = eta_convergence_study(omega, setup.bump, grid, setup.lam,
-                                     cfg["etas"], tol=min(setup.tol, 1e-10))
-        for r in rows:
-            rows_all.append([i, r.eta, r.sup_diff, r.sup_grad_diff, r.ratio_to_eta])
-        ratios.append(rows[0].sup_diff / rows[1].sup_diff)
+    studies = _pool_map(_eta_sample, cfg["n_samples"], cfg["workers"],
+                        _setup(cfg, eta=None), cfg)
     write_csv(out / "eta_table.csv",
               ["sample", "eta", "sup_diff", "sup_grad_diff", "ratio_to_eta"],
-              rows_all)
-    mean_ratio = float(np.mean(ratios))
+              [[i, r.eta, r.sup_diff, r.sup_grad_diff, r.ratio_to_eta]
+               for i, rows in studies.items() for r in rows])
+    mean_ratio = float(np.mean([rows[0].sup_diff / rows[1].sup_diff
+                                for rows in studies.values()]))
     lo, hi = cfg["ratio_lo"], cfg["ratio_hi"]
     return lo <= mean_ratio <= hi, {"mean_ratio": mean_ratio, "corridor": [lo, hi]}
 
 
+def _energy_sample(i, setup, cfg):
+    return solve_landscape(setup.hamiltonian(cfg["master_seed"], i), tol=setup.tol)
+
+
 def _run_energy_check(cfg, out):
-    setup = _setup(cfg, bc="periodic")
-    sols = [solve_landscape(setup.hamiltonian(cfg["master_seed"], i), tol=setup.tol)
-            for i in range(cfg["n_samples"])]
-    report = energy_estimate_check(sols)
+    sols = _pool_map(_energy_sample, cfg["n_samples"], cfg["workers"],
+                     _setup(cfg, bc="periodic"), cfg)
+    report = energy_estimate_check(list(sols.values()))
     write_csv(out / "energy.csv", ["lhs", "rhs", "margin_sigma", "passed"],
               [[report.lhs, report.rhs, report.margin_sigma, report.passed]])
     return report.passed, asdict(report)
 
 
+def _agmon_sample(i, setup, cfg):
+    H = setup.hamiltonian(cfg["master_seed"], i)
+    G = green_column(H, H.grid.center_node, tol=setup.tol)
+    return [agmon_inequality_check(G, mu, cfg["weight_cap"], cfg["cutoff_inner"],
+                                   cfg["cutoff_outer"]) for mu in cfg["mus"]]
+
+
 def _run_agmon_check(cfg, out):
-    setup = _setup(cfg)
-    rows, ok = [], True
-    for i in range(cfg["n_samples"]):
-        H = setup.hamiltonian(cfg["master_seed"], i)
-        G = green_column(H, H.grid.center_node, tol=setup.tol)
-        for mu in cfg["mus"]:
-            rep = agmon_inequality_check(G, mu, cfg["weight_cap"], cfg["cutoff_inner"],
-                                         cfg["cutoff_outer"])
-            rows.append([i, mu, rep.lhs, rep.rhs, rep.passed])
-            ok = ok and rep.passed
+    reports = _pool_map(_agmon_sample, cfg["n_samples"], cfg["workers"], _setup(cfg), cfg)
+    rows = [[i, mu, rep.lhs, rep.rhs, rep.passed]
+            for i, reps in reports.items() for mu, rep in zip(cfg["mus"], reps)]
     write_csv(out / "agmon.csv", ["sample", "mu", "lhs", "rhs", "passed"], rows)
-    return ok, {"n_checks": len(rows)}
+    return all(row[-1] for row in rows), {"n_checks": len(rows)}
 
 
-def _run_rank_one(cfg, out):
-    setup = _setup(cfg)
+def _rank_one_sample(i, setup, cfg):
     grid = setup.grid()
     z = (grid.L // 2 + cfg["z_offset"],) * grid.d
     x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
-    rows, worst = [], 0.0
-    for i in range(cfg["n_samples"]):
-        omega = sample_omega(setup.law, (setup.L,) * setup.d, cfg["master_seed"], i)
-        rep = rank_one_identity_check(omega, z, grid, setup.bump, setup.lam, setup.eta, x)
-        rows.append([i, rep.lhs, rep.rhs, rep.relative_error])
-        worst = max(worst, rep.relative_error)
+    return rank_one_identity_check(setup.omega(cfg["master_seed"], i), z, grid,
+                                   setup.bump, setup.lam, setup.eta, x)
+
+
+def _run_rank_one(cfg, out):
+    reports = _pool_map(_rank_one_sample, cfg["n_samples"], cfg["workers"], _setup(cfg), cfg)
+    rows = [[i, rep.lhs, rep.rhs, rep.relative_error] for i, rep in reports.items()]
     write_csv(out / "rank_one.csv", ["sample", "lhs", "rhs", "relative_error"], rows)
+    worst = max([0.0] + [row[-1] for row in rows])
     return worst <= cfg["max_rel_error"], {"max_relative_error": worst}
 
 
 def _run_fpp_kesten(cfg, out):
     rows = kesten_tail_experiment(law_from_dict(cfg["law"]), cfg["d"], cfg["L"],
                                   cfg["gamma"], cfg["radii"], cfg["c_probe"],
-                                  cfg["n_samples"], cfg["master_seed"], k=cfg["k"])
+                                  cfg["n_samples"], cfg["master_seed"], k=cfg["k"],
+                                  workers=cfg["workers"])
     write_csv(out / "kesten.csv",
               ["radius", "frequency", "ci_low", "ci_high", "threshold"],
               [[r.radius, r.frequency, r.ci_low, r.ci_high, r.threshold]
@@ -357,14 +369,16 @@ def _run_fpp_kesten(cfg, out):
     return ok, {"frequencies": [r.frequency for r in rows]}
 
 
+def _cluster_sample(i, law, cfg):
+    omega = sample_omega(law, (cfg["L"],) * cfg["d"], cfg["master_seed"], i)
+    return cluster_analysis(coarse_grain(omega, cfg["k"], cfg["gamma"])
+                            ).closed_component_diameters
+
+
 def _run_cluster_tail(cfg, out):
-    law = law_from_dict(cfg["law"])
-    diams = []
-    for i in range(cfg["n_samples"]):
-        omega = sample_omega(law, (cfg["L"],) * cfg["d"], cfg["master_seed"], i)
-        rep = cluster_analysis(coarse_grain(omega, cfg["k"], cfg["gamma"]))
-        diams.extend(rep.closed_component_diameters)
-    diams = np.asarray(diams)
+    diameters = _pool_map(_cluster_sample, cfg["n_samples"], cfg["workers"],
+                          law_from_dict(cfg["law"]), cfg)
+    diams = np.asarray([x for sample in diameters.values() for x in sample])
     ns = np.arange(cfg["diam_min"], cfg["diam_max"] + 1)
     tail = np.asarray([(diams >= n).mean() if diams.size else 0.0 for n in ns])
     write_csv(out / "diameter_tail.csv", ["n", "tail_prob", "count"],
@@ -380,7 +394,8 @@ def _run_cluster_tail(cfg, out):
 
 def _run_anchor_1d(cfg, out):
     rep = anchoring_experiment_1d(law_from_dict(cfg["law"]), cfg["L"], cfg["gamma"],
-                                  cfg["n_samples"], cfg["master_seed"])
+                                  cfg["n_samples"], cfg["master_seed"],
+                                  workers=cfg["workers"])
     write_csv(out / "anchor_moments.csv", ["p", "moment"],
               list(zip(rep.p_values, rep.moments)))
     if rep.status == "INCONCLUSIVE":
@@ -392,10 +407,10 @@ def _run_selftest(cfg, out):
     """Quick structural checks with a direct-factorization cross-check."""
     checks = []
     law = law_from_dict({"kind": "bernoulli", "q": 0.5})
-    grid = Grid(d=1, L=8, m=20, bc="dirichlet")
-    omega = sample_omega(law, (8,), cfg["master_seed"], 0)
-    V = assemble_potential(omega, default_bump(), grid)
-    H = HamiltonianSpec(grid=grid, potential=V, lam=1.0, eta=0.1)
+    setup = ExperimentSetup(d=1, L=8, m=20, law=law, lam=1.0, eta=0.1)
+    omega = setup.omega(cfg["master_seed"], 0)
+    H = setup.operator(omega)
+    grid = H.grid
     rhs = ScalarField.constant(grid, 1.0)
     u_cg = cg_solve(H, rhs, tol=1e-11)
     u_lu = dense_solve_oracle(H, rhs)
@@ -423,7 +438,7 @@ def _run_selftest(cfg, out):
     rerr = abs(rep_sum - u_at) / u_at
     checks.append(["green_representation", rerr, rerr <= 1e-7])
 
-    omega2 = sample_omega(law, (8,), cfg["master_seed"], 0)
+    omega2 = setup.omega(cfg["master_seed"], 0)
     checks.append(["determinism", 0.0,
                    bool(np.array_equal(omega.values, omega2.values))])
 

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError
+from .stats import _pool_map
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,16 @@ class KestenRow:
     threshold: float
 
 
+def _kesten_sample(i, law, L, gamma, k, master_seed, origin, cheb, radii, c_probe):
+    omega = sample_omega(law, cheb.ndim * (L,), master_seed, i)
+    dist = chemical_distance(coarse_grain(omega, k, gamma), origin).dist
+    return [int(dist[cheb == R].min()) <= c_probe * R for R in radii]
+
+
 def kesten_tail_experiment(law: DisorderLaw, d: int, L: int, gamma: float,
                            radii, c_probe: float, n_samples: int,
-                           master_seed: int, k: int | None = None):
+                           master_seed: int, k: int | None = None,
+                           workers: int = 1):
     """Empirical P[min chemical distance to the radius-R shell <= c_probe*R]."""
     radii = [int(R) for R in radii]
     if sorted(radii) != radii:
@@ -220,18 +228,12 @@ def kesten_tail_experiment(law: DisorderLaw, d: int, L: int, gamma: float,
     if max(radii) > min(origin[0], nc - 1 - origin[0]):
         raise ConfigurationError("largest radius does not fit in the coarse box")
     cheb = np.abs(np.indices((nc,) * d) - origin[0]).max(axis=0)
-    hits = {R: 0 for R in radii}
-    for i in range(n_samples):
-        omega = sample_omega(law, (L,) * d, master_seed, i)
-        dmap = chemical_distance(coarse_grain(omega, k, gamma), origin)
-        for R in radii:
-            shell_min = int(dmap.dist[cheb == R].min())
-            if shell_min <= c_probe * R:
-                hits[R] += 1
+    kept = _pool_map(_kesten_sample, n_samples, workers,
+                     law, L, gamma, k, master_seed, origin, cheb, radii, c_probe)
     rows = []
-    for R in radii:
-        lo, hi = wilson_interval(hits[R], n_samples)
-        rows.append(KestenRow(radius=R, frequency=hits[R] / n_samples,
+    for R, hits in zip(radii, np.sum(list(kept.values()), axis=0).tolist()):
+        lo, hi = wilson_interval(hits, len(kept))
+        rows.append(KestenRow(radius=R, frequency=hits / len(kept),
                               ci_low=lo, ci_high=hi, threshold=c_probe * R))
     return rows
 
@@ -266,22 +268,21 @@ class AnchoringReport:
     gap_sem: float              # standard error of the mean gap
 
 
+def _gap_sample(i, law, L, gamma, master_seed):
+    return gap_statistic_1d(sample_omega(law, (L,), master_seed, i), gamma, L // 2)
+
+
 def anchoring_experiment_1d(law: DisorderLaw, L: int, gamma: float,
                             n_samples: int, master_seed: int,
                             p_values=(1, 2, 4, 8),
                             ratio_corridor: float = 2.5,
-                            min_samples: int = 100) -> AnchoringReport:
+                            min_samples: int = 100,
+                            workers: int = 1) -> AnchoringReport:
     """Moment growth of the 1d gap: at most linear in p (doubling-ratio test)."""
-    gaps, censored = [], 0
-    for i in range(n_samples):
-        omega = sample_omega(law, (L,), master_seed, i)
-        g = gap_statistic_1d(omega, gamma, L // 2)
-        if g.censored:
-            censored += 1
-        else:
-            gaps.append(g.gap)
-    frac = censored / n_samples
-    gaps = np.asarray(gaps, dtype=float)
+    results = list(_pool_map(_gap_sample, n_samples, workers,
+                             law, L, gamma, master_seed).values())
+    frac = sum(g.censored for g in results) / len(results)
+    gaps = np.asarray([g.gap for g in results if not g.censored], dtype=float)
     moments = tuple(float(np.mean(gaps ** p) ** (1.0 / p)) for p in p_values)
     gap_mean = float(gaps.mean()) if gaps.size else np.nan
     gap_sem = (float(gaps.std(ddof=1) / np.sqrt(gaps.size))

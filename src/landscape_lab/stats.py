@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .disorder import BumpProfile, DisorderLaw, resample_site, sample_omega, assemble_potential
+from .disorder import (BumpProfile, DisorderLaw, OmegaField, assemble_potential,
+                       resample_site, sample_omega)
 from .errors import (ConfigurationError, ExperimentError, FitError, PositivityError,
                      SingularOperatorError, SolverNonConvergenceError)
 from .green import all_cell_masses, green_column
@@ -68,17 +70,43 @@ class ExperimentSetup:
     def grid(self) -> Grid:
         return Grid(d=self.d, L=self.L, m=self.m, bc=self.bc)
 
-    def hamiltonian(self, master_seed: int, sample_index: int) -> HamiltonianSpec:
-        omega = sample_omega(self.law, (self.L,) * self.d, master_seed, sample_index)
+    def omega(self, master_seed: int, sample_index: int) -> OmegaField:
+        return sample_omega(self.law, (self.L,) * self.d, master_seed, sample_index)
+
+    def operator(self, omega: OmegaField) -> HamiltonianSpec:
         V = assemble_potential(omega, self.bump, self.grid())
         return HamiltonianSpec(grid=self.grid(), potential=V, lam=self.lam, eta=self.eta)
 
+    def hamiltonian(self, master_seed: int, sample_index: int) -> HamiltonianSpec:
+        return self.operator(self.omega(master_seed, sample_index))
 
-def _pool_map(fn, items, workers: int):
+
+def _attempt(fn, i, args):
+    try:
+        return fn(i, *args)
+    except (SolverNonConvergenceError, SingularOperatorError, PositivityError) as exc:
+        log.warning("sample %d skipped: %s", i, exc)
+        return None
+
+
+def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
+    """The one sample loop: {i: fn(i, *args)} over the samples that solved.
+
+    Serial at workers <= 1, else on a process pool; kept in index order
+    either way.  A solver failure skips its sample with a logged warning,
+    more than 5 % skipped raises ExperimentError, and any other error is raised.
+    """
     if workers <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        outcomes = [_attempt(fn, i, args) for i in range(n_samples)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_attempt, repeat(fn), range(n_samples), repeat(args),
+                                     chunksize=max(1, n_samples // (4 * workers))))
+    kept = {i: out for i, out in enumerate(outcomes) if out is not None}
+    skipped = n_samples - len(kept)
+    if skipped and skipped / n_samples > 0.05:
+        raise ExperimentError(f"{skipped}/{n_samples} samples failed to solve")
+    return kept
 
 
 def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int,
@@ -95,15 +123,9 @@ def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int,
 
 # ----------------------------------------------------------------- green decay
 
-def _green_sample(args):
-    setup, master_seed, i = args
-    try:
-        H = setup.hamiltonian(master_seed, i)
-        G = green_column(H, H.grid.center_node, tol=setup.tol)
-        return all_cell_masses(G)
-    except (SolverNonConvergenceError, SingularOperatorError, PositivityError) as exc:
-        log.warning("sample %d skipped: %s", i, exc)
-        return None
+def _green_sample(i, setup, master_seed):
+    H = setup.hamiltonian(master_seed, i)
+    return all_cell_masses(green_column(H, H.grid.center_node, tol=setup.tol))
 
 
 def _shell_index(grid: Grid, margin: int):
@@ -127,12 +149,8 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
         raise ConfigurationError("n_samples must be >= 1")
     grid = setup.grid()
     cells, shell, dists = _shell_index(grid, setup.margin)
-    masses = _pool_map(_green_sample,
-                       [(setup, master_seed, i) for i in range(n_samples)], workers)
-    skipped = sum(mv is None for mv in masses)
-    if skipped / n_samples > 0.05:
-        raise ExperimentError(f"{skipped}/{n_samples} samples failed to solve")
-    kept = np.stack([mv.ravel()[cells] for mv in masses if mv is not None]) ** p
+    masses = _pool_map(_green_sample, n_samples, workers, setup, master_seed)
+    kept = np.stack([mv.ravel()[cells] for mv in masses.values()]) ** p
     # per-(sample, shell) sums in one bincount over offset bin labels
     nb = len(dists)
     labels = (np.arange(len(kept))[:, None] * nb + shell).ravel()
@@ -189,7 +207,6 @@ def lambda_scaling_curve(setup: ExperimentSetup, lambdas, p: float,
     The small mass eta = min(1e-6, lam*1e-3) keeps the measured rate
     disorder-induced rather than a mass gap.
     """
-    from dataclasses import replace
     fits, curves, ratios = {}, {}, {}
     for lam in lambdas:
         lam = float(lam)
@@ -216,19 +233,13 @@ def _observable_fields(sol, observable):
     return [c.values for c in derived_fields(sol)["grad_log_u"]]
 
 
-def _cov_sample(args):
-    setup, master_seed, i, observables, sep_nodes, center = args
-    H = setup.hamiltonian(master_seed, i)
-    sol = solve_landscape(H, tol=setup.tol)
+def _cov_sample(i, setup, master_seed, observables, sep_nodes, center):
+    sol = solve_landscape(setup.hamiltonian(master_seed, i), tol=setup.tol)
     out = {}
     for observable in observables:
         fields = _observable_fields(sol, observable)
-        block = np.empty((1 + len(sep_nodes), len(fields)))
-        for ci, fv in enumerate(fields):
-            block[0, ci] = fv[center]
-            for si, node in enumerate(sep_nodes):
-                block[1 + si, ci] = fv[node]
-        out[observable] = block
+        out[observable] = np.array([[fv[node] for fv in fields]
+                                    for node in (center, *sep_nodes)])
     return out
 
 
@@ -256,9 +267,8 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
         if not (setup.margin <= zmax < grid.L - setup.margin):
             raise ConfigurationError(f"separation {s} leaves the interior window")
         sep_nodes.append(tuple(node))
-    rows = _pool_map(_cov_sample,
-                     [(setup, master_seed, i, observables, sep_nodes, center)
-                      for i in range(n_samples)], workers)
+    rows = _pool_map(_cov_sample, n_samples, workers,
+                     setup, master_seed, observables, sep_nodes, center)
 
     def stat(block):
         x = block[:, 0, :]
@@ -274,7 +284,7 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
 
     result = {}
     for observable in observables:
-        data = np.stack([r[observable] for r in rows])  # (n, 1 + n_seps, n_comp)
+        data = np.stack([r[observable] for r in rows.values()])  # (n, 1 + n_seps, n_comp)
         covs = stat(data)
         ci = _bootstrap_ci(data, stat, seed=master_seed ^ 0xC0F, n_boot=n_boot)
         result[observable] = [
@@ -284,33 +294,18 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
     return result
 
 
-def covariance_experiment(setup: ExperimentSetup, observable: str, separations,
-                          n_samples: int, master_seed: int, workers: int = 1,
-                          n_boot: int = BOOTSTRAP_DEFAULT):
-    """Plain MC covariance between the center and axis-shifted observation points."""
-    return covariance_suite(setup, [observable], separations, n_samples,
-                            master_seed, workers=workers, n_boot=n_boot)[observable]
-
-
 # ------------------------------------------------- vertical derivative decay
 
-def _vert_sample(args):
-    setup, master_seed, i, offsets = args
+def _vert_sample(i, setup, master_seed, offsets):
     grid = setup.grid()
-    omega = sample_omega(setup.law, (setup.L,) * setup.d, master_seed, i)
-    V = assemble_potential(omega, setup.bump, grid)
-    H = HamiltonianSpec(grid=grid, potential=V, lam=setup.lam, eta=setup.eta)
-    u = solve_landscape(H, tol=setup.tol).u.values
-    center_cell = grid.center_cell
+    omega = setup.omega(master_seed, i)
+    u = solve_landscape(setup.operator(omega), tol=setup.tol).u.values
     center = grid.center_node
     out = np.empty(len(offsets))
     for oi, off in enumerate(offsets):
-        z = list(center_cell)
-        z[0] = center_cell[0] + int(off)
-        omega_z = resample_site(omega, tuple(z), resample_seed=i * 65536 + oi)
-        Vz = assemble_potential(omega_z, setup.bump, grid)
-        Hz = HamiltonianSpec(grid=grid, potential=Vz, lam=setup.lam, eta=setup.eta)
-        uz = solve_landscape(Hz, tol=setup.tol).u.values
+        z = (grid.L // 2 + off,) + grid.center_cell[1:]
+        omega_z = resample_site(omega, z, resample_seed=i * 65536 + oi)
+        uz = solve_landscape(setup.operator(omega_z), tol=setup.tol).u.values
         out[oi] = (u[center] - uz[center]) ** 2
     return out
 
@@ -324,10 +319,8 @@ def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
     for off in offsets:
         if not (0 <= zc + off < setup.L):
             raise ConfigurationError(f"z offset {off} puts the site outside the box")
-    rows = _pool_map(_vert_sample,
-                     [(setup, master_seed, i, offsets) for i in range(n_samples)],
-                     workers)
-    sq = np.stack(rows)     # (n_samples, n_offsets)
+    rows = _pool_map(_vert_sample, n_samples, workers, setup, master_seed, offsets)
+    sq = np.stack(list(rows.values()))     # (kept samples, n_offsets)
 
     def stat(block):
         return np.sqrt(np.mean(block, axis=0))

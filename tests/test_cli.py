@@ -1,11 +1,13 @@
 import json
 import hashlib
 
+import numpy as np
 import pytest
 
-from landscape_lab.cli import TABLES, _RUNNERS, run, validate_config, write_csv
+from landscape_lab import cli, stats
+from landscape_lab.cli import TABLES, _RUNNERS, _setup, run, validate_config, write_csv
 from landscape_lab.disorder import law_from_dict
-from landscape_lab.errors import ConfigurationError
+from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
 from landscape_lab.percolation import choose_k
 
 LAW = {"kind": "bernoulli", "q": 0.5}
@@ -168,11 +170,24 @@ class TestEverySubcommand:
         ("cluster-tail", "k", 0),
         ("solve-landscape", "sample_index", -1),
         ("green-decay", "experiment", "x"),     # no longer a key
+        ("cluster-tail", "diam_max", 1),        # below the default diam_min 2
+        ("eta-convergence", "ratio_lo", 30.0),  # above the default ratio_hi 20
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS[subcommand], **{key: value}))
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("subcommand, window", [
+        ("green-decay", {"r_min": 40.0, "r_max": 5.0}),
+        ("lambda-scaling", {"r_min": 5.0, "r_max": 5.0}),
+        ("vertical-derivative", {"r_min": 4.0}),     # computed r_max = max|z| = 4
+    ])
+    def test_empty_fit_window_exits_2_before_any_output(self, tmp_path, subcommand,
+                                                        window):
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], **window))
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_flag_exits_2(self, tmp_path, workers):
@@ -266,13 +281,17 @@ class TestDeterminism:
         for name in ("curve.csv", "fit.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.json", green_cfg())
+    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
+    def test_worker_count_does_not_change_output(self, tmp_path, subcommand):
+        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand])
         a, b = tmp_path / "w1", tmp_path / "w2"
-        assert run("green-decay", cfg, output_dir=a, workers=1) == 0
-        assert run("green-decay", cfg, output_dir=b, workers=2) == 0
-        assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
-        assert (a / "fit.csv").read_bytes() == (b / "fit.csv").read_bytes()
+        code = run(subcommand, cfg, output_dir=a, workers=1)
+        assert run(subcommand, cfg, output_dir=b, workers=2) == code
+        names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+        assert "summary.txt" in names
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_different_seed_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg())
@@ -280,6 +299,57 @@ class TestDeterminism:
         run("green-decay", cfg, output_dir=a, seed=1)
         run("green-decay", cfg, output_dir=b, seed=2)
         assert (a / "curve.csv").read_bytes() != (b / "curve.csv").read_bytes()
+
+
+def fail_calls(monkeypatch, module, name, failing):
+    """module.name raises a solver failure on the calls numbered in failing."""
+    real, calls = getattr(module, name), []
+
+    def solve(*args, **kwargs):
+        calls.append(len(calls))
+        if calls[-1] in failing:
+            raise SolverNonConvergenceError("stalled")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, solve)
+
+
+# passes with all 20 samples and with sample 7 left out
+COVARIANCE_20 = dict(TINY_1D, observable="u", separations=[0, 6], n_samples=20, margin=1)
+
+
+class TestFailurePolicy:
+    """Serial runs solve sample i in call i: 1 failure in 20 is skipped, 2 exit 3."""
+
+    def test_covariance_skips_one_failed_sample(self, tmp_path, monkeypatch, caplog):
+        setup = _setup(validate_config("covariance", COVARIANCE_20))
+        center = setup.grid().center_node
+        u = [stats.solve_landscape(setup.hamiltonian(0, i), tol=setup.tol).u.values[center]
+             for i in range(20) if i != 7]
+        fail_calls(monkeypatch, stats, "solve_landscape", {7})
+        cfg = write_cfg(tmp_path, "c.json", COVARIANCE_20)
+        assert run("covariance", cfg, output_dir=tmp_path / "out") == 0
+        assert "sample 7 skipped: stalled" in caplog.text
+        rows = (tmp_path / "out" / "covariance.csv").read_text().splitlines()
+        assert float(rows[1].split(",")[1]) == pytest.approx(np.var(u, ddof=1), rel=1e-10)
+
+    def test_agmon_check_skips_one_failed_sample(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY_1D, n_samples=20))
+        assert run("agmon-check", cfg, output_dir=tmp_path / "all") == 0
+        fail_calls(monkeypatch, cli, "green_column", {7})
+        assert run("agmon-check", cfg, output_dir=tmp_path / "out") == 0
+        rows = (tmp_path / "all" / "agmon.csv").read_text().splitlines()
+        kept = [row for row in rows if not row.startswith("7,")]
+        assert len(kept) == len(rows) - 2         # two mus per sample
+        assert (tmp_path / "out" / "agmon.csv").read_text().splitlines() == kept
+
+    @pytest.mark.parametrize("subcommand, given, module, name", [
+        ("covariance", COVARIANCE_20, stats, "solve_landscape"),
+        ("agmon-check", dict(TINY_1D, n_samples=20), cli, "green_column")])
+    def test_two_failures_in_20_exit_3(self, tmp_path, monkeypatch, subcommand, given,
+                                       module, name):
+        fail_calls(monkeypatch, module, name, {7, 12})
+        cfg = write_cfg(tmp_path, "c.json", given)
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
 
 
 class TestWriteCsv:

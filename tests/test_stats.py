@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from landscape_lab.disorder import bernoulli, uniform01
 from landscape_lab import stats
 from landscape_lab.errors import (ConfigurationError, ExperimentError, FitError,
-                                   SolverNonConvergenceError)
+                                   SingularOperatorError, SolverNonConvergenceError)
 from landscape_lab.green import all_cell_masses, green_column
 from landscape_lab.landscape import solve_landscape
 from landscape_lab.stats import (ExperimentSetup, MomentCurve,
-                                 covariance_experiment, covariance_suite,
+                                 covariance_suite,
                                  fit_exponential_decay, green_decay_experiment,
                                  lambda_scaling_curve,
                                  vertical_derivative_decay)
@@ -28,6 +28,29 @@ def synthetic_curve(rate, pref, n=20, noise=0.0, seed=0):
     if noise:
         v = v * (1.0 + noise * np.random.default_rng(seed).normal(size=n))
     return MomentCurve(distances=r, values=v, ci=np.zeros(n), p=1.0)
+
+
+def square_unless(i, failing, invalid=frozenset()):
+    if i in failing:
+        raise SingularOperatorError("zero mode")
+    if i in invalid:
+        raise ConfigurationError("invalid sample")
+    return i * i
+
+
+class TestSampleLoop:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_results_keyed_by_sample_index(self, workers):
+        kept = stats._pool_map(square_unless, 40, workers, {3, 17})
+        assert list(kept) == [i for i in range(40) if i not in (3, 17)]
+        assert all(v == i * i for i, v in kept.items())
+        with pytest.raises(ExperimentError, match="3/40"):
+            stats._pool_map(square_unless, 40, workers, {1, 2, 3})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_errors_are_raised(self, workers):
+        with pytest.raises(ConfigurationError, match="invalid"):
+            stats._pool_map(square_unless, 40, workers, set(), {2})
 
 
 class TestFitExponentialDecay:
@@ -161,13 +184,13 @@ class TestGreenDecayExperiment:
 class TestCovariance:
     def test_deterministic_observable_has_zero_covariance(self):
         setup = setup_1d(lam=0.0, eta=0.5)
-        pts = covariance_experiment(setup, "u", [3, 8], 50, 3)
+        pts = covariance_suite(setup, ["u"], [3, 8], 50, 3)["u"]
         for p in pts:
             assert abs(p.cov) < 1e-18
 
     def test_zero_separation_is_variance(self):
         setup = setup_1d()
-        pts = covariance_experiment(setup, "u", [0, 4], 60, 5)
+        pts = covariance_suite(setup, ["u"], [0, 4], 60, 5)["u"]
         assert pts[0].cov >= 0.0
         grid = setup.grid()
         x = grid.center_node
@@ -179,17 +202,17 @@ class TestCovariance:
     def test_suite_shares_samples_with_single_runs(self):
         setup = setup_1d()
         suite = covariance_suite(setup, ["u", "inv_u"], [2, 6], 40, 9)
-        single = covariance_experiment(setup, "inv_u", [2, 6], 40, 9)
+        single = covariance_suite(setup, ["inv_u"], [2, 6], 40, 9)["inv_u"]
         for a, b in zip(suite["inv_u"], single):
             assert a.cov == b.cov and a.ci == b.ci
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigurationError):
-            covariance_experiment(setup_1d(), "potential", [3], 10, 0)
+            covariance_suite(setup_1d(), ["potential"], [3], 10, 0)
 
     def test_separation_window_guard(self):
         with pytest.raises(ConfigurationError):
-            covariance_experiment(setup_1d(L=32), "u", [14], 10, 0)
+            covariance_suite(setup_1d(L=32), ["u"], [14], 10, 0)
 
 
 class TestVerticalDerivative:
