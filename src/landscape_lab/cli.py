@@ -5,15 +5,18 @@ per subcommand, each key's type, its default (or that it is required) and
 its range rule.  Validation rejects unknown keys, wrong types and values out
 of range (n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta,
 etas, sample_index >= 0; 0 <= margin < L/2; r_max > r_min; ratio_hi >=
-ratio_lo; diam_max >= diam_min; rank-one-check's offsets inside the box),
-also when the --seed/--workers/--output flags set them, and fills in every
-default, so runners read ``cfg[key]`` only.  Samples run through
-``stats._pool_map``: any worker count gives the same bytes, and a failed
-solve skips its sample (more than 5 % skipped exits 3).  Each run writes,
-under output_dir: the data CSVs, a one-line summary.txt, and a manifest.json
-with the effective config (fed back as a config, it reproduces the run) and
-file checksums.  Exit codes: 0 ok/pass, 2 validation error, 3 solver
-failure, 4 statistical FAIL, 5 inconclusive.
+ratio_lo; diam_max >= diam_min; rank-one-check's offsets inside the box; no
+file at or above output_dir), also when the --seed/--workers/--output flags
+set them, and fills in every default, so runners read ``cfg[key]`` only.
+Samples run through ``stats._pool_map``: any worker count gives the same
+bytes, and a failed solve skips its sample (more than 5 % skipped exits 3).
+A runner fills ``tables`` (file name -> (header, rows)); once it returns,
+``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
+manifest.json with the effective config (fed back as a config, it reproduces
+the run) and the checksums of exactly those files.  A failed decay fit is a
+FAIL with its reason in the manifest.  Exit codes: 0 ok/pass, 2 validation
+error, 3 solver failure, 4 statistical FAIL, 5 inconclusive; 2 and 3 write
+nothing.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 # ------------------------------------------------------------------ config tables
 
 REQUIRED = object()
@@ -96,10 +95,18 @@ def _not_below(key):
     return (f">= {key}", lambda v, cfg: v >= cfg[key])
 
 
+def _no_file_on(path, cfg):
+    """No file stands where the output directory or one of its parents goes."""
+    return path is None or next(p for p in (Path(path), *Path(path).parents)
+                                if p.exists()).is_dir()
+
+
 _POSITIVE = ("> 0", lambda v, cfg: v > 0)
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
 _BASE = {"master_seed": Key(int, 0), "workers": Key(int, 1, _at_least(1)),
-         "tol": Key(float, 1e-9, _POSITIVE), "output_dir": Key(str, None)}
+         "tol": Key(float, 1e-9, _POSITIVE),
+         "output_dir": Key(str, None, ("a directory, not a file or under one",
+                                       _no_file_on))}
 _OPERATOR = {"d": Key(int), "L": Key(int), "m": Key(int),
              "bc": Key(str, "dirichlet"), "law": Key(dict),
              "lambda": Key(float, rule=_at_least(0)),
@@ -196,8 +203,8 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         raise ConfigurationError("; ".join(errors))
     for key, spec in table.items():     # in table order, so defaults see the keys above
         if key not in out:
-            if errors:                  # a default may be computed from a rejected value
-                continue
+            if errors:  # a default may be computed from a rejected value; rules below read it
+                break
             out[key] = spec.default(out) if callable(spec.default) else spec.default
         if spec.rule is not None:
             text, holds = spec.rule
@@ -218,7 +225,7 @@ def _setup(cfg: dict, **fixed) -> ExperimentSetup:
 
 # ------------------------------------------------------------------ runners
 
-def _run_solve_landscape(cfg, out):
+def _run_solve_landscape(cfg, tables):
     setup = _setup(cfg)
     H = setup.hamiltonian(cfg["master_seed"], cfg["sample_index"])
     sol = solve_landscape(H, tol=setup.tol)
@@ -230,66 +237,64 @@ def _run_solve_landscape(cfg, out):
         node = np.unravel_index(flat, grid.shape)
         rows.append([flat] + [coords[i] for i in node]
                     + [val, der["inv_u"].values[node]])
-    write_csv(out / "u.csv",
-              ["node"] + [f"x{i}" for i in range(grid.d)] + ["u", "inv_u"], rows)
-    write_csv(out / "sup_cells.csv", ["cell", "sup_u"],
-              [[i, v] for i, v in enumerate(sol.sup_per_cell.ravel())])
+    tables["u.csv"] = (["node"] + [f"x{i}" for i in range(grid.d)] + ["u", "inv_u"], rows)
+    tables["sup_cells.csv"] = (["cell", "sup_u"],
+                               [[i, v] for i, v in enumerate(sol.sup_per_cell.ravel())])
     return True, {"min_u": float(sol.u.values.min()),
                   "max_u": float(sol.u.values.max())}
 
 
-def _write_curve(path, curve):
-    write_csv(path, ["distance", "value", "ci"],
-              zip(curve.distances, curve.values, curve.ci))
+def _curve_table(curve):
+    return ["distance", "value", "ci"], zip(curve.distances, curve.values, curve.ci)
 
 
-def _fit_and_write(curve, cfg, out):
-    _write_curve(out / "curve.csv", curve)
+def _fit(curve, cfg, tables):
+    """The decay fit of curve; curve.csv is filled before the fit can fail."""
+    tables["curve.csv"] = _curve_table(curve)
     fit = fit_exponential_decay(curve, cfg["r_min"], cfg["r_max"])
-    write_csv(out / "fit.csv",
-              ["rate", "log_prefactor", "r_min", "r_max", "r_squared", "n_points"],
-              [[fit.rate, fit.log_prefactor, fit.r_min, fit.r_max,
-                fit.r_squared, fit.n_points]])
+    tables["fit.csv"] = (["rate", "log_prefactor", "r_min", "r_max", "r_squared", "n_points"],
+                         [[fit.rate, fit.log_prefactor, fit.r_min, fit.r_max,
+                           fit.r_squared, fit.n_points]])
     return fit
 
 
-def _run_green_decay(cfg, out):
+def _run_green_decay(cfg, tables):
     curve = green_decay_experiment(_setup(cfg), cfg["p"], cfg["n_samples"],
                                    cfg["master_seed"], workers=cfg["workers"])
-    fit = _fit_and_write(curve, cfg, out)
+    fit = _fit(curve, cfg, tables)
     passed = fit.rate > 0.0 and fit.r_squared >= 0.9
     return passed, {"fit": asdict(fit)}
 
 
-def _run_lambda_scaling(cfg, out):
+def _run_lambda_scaling(cfg, tables):
     res = lambda_scaling_curve(_setup(cfg, lam=None, eta=None), cfg["lambdas"],
                                cfg["p"], cfg["n_samples"], cfg["master_seed"],
                                r_min=cfg["r_min"], r_max=cfg["r_max"],
                                workers=cfg["workers"])
     rows = [[lam, f.rate, f.r_squared, res["ratios"][lam]]
             for lam, f in sorted(res["fits"].items())]
-    write_csv(out / "fits.csv", ["lambda", "rate", "r_squared", "ratio"], rows)
+    tables["fits.csv"] = (["lambda", "rate", "r_squared", "ratio"], rows)
     for lam, curve in sorted(res["curves"].items()):
-        _write_curve(out / f"curve_lambda_{lam:g}.csv", curve)
+        tables[f"curve_lambda_{lam:g}.csv"] = _curve_table(curve)
     passed = all(f.rate > 0.0 for f in res["fits"].values())
     return passed, {"rates": {str(k): v.rate for k, v in res["fits"].items()}}
 
 
-def _run_covariance(cfg, out):
+def _run_covariance(cfg, tables):
     pts = covariance_suite(_setup(cfg), [cfg["observable"]], cfg["separations"],
                            cfg["n_samples"], cfg["master_seed"],
                            workers=cfg["workers"])[cfg["observable"]]
-    write_csv(out / "covariance.csv", ["separation", "cov", "ci", "observable"],
-              [[p.separation, p.cov, p.ci, p.observable] for p in pts])
+    tables["covariance.csv"] = (["separation", "cov", "ci", "observable"],
+                                [[p.separation, p.cov, p.ci, p.observable] for p in pts])
     near, far = pts[0], pts[-1]
     passed = (abs(far.cov) <= 0.1 * abs(near.cov)) or (abs(far.cov) <= 1.5 * far.ci)
     return passed, {"near": abs(near.cov), "far": abs(far.cov), "far_ci": far.ci}
 
 
-def _run_vertical_derivative(cfg, out):
+def _run_vertical_derivative(cfg, tables):
     curve = vertical_derivative_decay(_setup(cfg), cfg["z_offsets"], cfg["n_samples"],
                                       cfg["master_seed"], workers=cfg["workers"])
-    fit = _fit_and_write(curve, cfg, out)
+    fit = _fit(curve, cfg, tables)
     return fit.rate > 0.0, {"fit": asdict(fit)}
 
 
@@ -299,13 +304,12 @@ def _eta_sample(i, setup, cfg):
                                  tol=min(setup.tol, 1e-10))
 
 
-def _run_eta_convergence(cfg, out):
+def _run_eta_convergence(cfg, tables):
     studies = _pool_map(_eta_sample, cfg["n_samples"], cfg["workers"],
                         _setup(cfg, eta=None), cfg)
-    write_csv(out / "eta_table.csv",
-              ["sample", "eta", "sup_diff", "sup_grad_diff", "ratio_to_eta"],
-              [[i, r.eta, r.sup_diff, r.sup_grad_diff, r.ratio_to_eta]
-               for i, rows in studies.items() for r in rows])
+    tables["eta_table.csv"] = (["sample", "eta", "sup_diff", "sup_grad_diff", "ratio_to_eta"],
+                               [[i, r.eta, r.sup_diff, r.sup_grad_diff, r.ratio_to_eta]
+                                for i, rows in studies.items() for r in rows])
     mean_ratio = float(np.mean([rows[0].sup_diff / rows[1].sup_diff
                                 for rows in studies.values()]))
     lo, hi = cfg["ratio_lo"], cfg["ratio_hi"]
@@ -316,12 +320,12 @@ def _energy_sample(i, setup, cfg):
     return solve_landscape(setup.hamiltonian(cfg["master_seed"], i), tol=setup.tol)
 
 
-def _run_energy_check(cfg, out):
+def _run_energy_check(cfg, tables):
     sols = _pool_map(_energy_sample, cfg["n_samples"], cfg["workers"],
                      _setup(cfg, bc="periodic"), cfg)
     report = energy_estimate_check(list(sols.values()))
-    write_csv(out / "energy.csv", ["lhs", "rhs", "margin_sigma", "passed"],
-              [[report.lhs, report.rhs, report.margin_sigma, report.passed]])
+    tables["energy.csv"] = (["lhs", "rhs", "margin_sigma", "passed"],
+                            [[report.lhs, report.rhs, report.margin_sigma, report.passed]])
     return report.passed, asdict(report)
 
 
@@ -332,11 +336,11 @@ def _agmon_sample(i, setup, cfg):
                                    cfg["cutoff_outer"]) for mu in cfg["mus"]]
 
 
-def _run_agmon_check(cfg, out):
+def _run_agmon_check(cfg, tables):
     reports = _pool_map(_agmon_sample, cfg["n_samples"], cfg["workers"], _setup(cfg), cfg)
     rows = [[i, mu, rep.lhs, rep.rhs, rep.passed]
             for i, reps in reports.items() for mu, rep in zip(cfg["mus"], reps)]
-    write_csv(out / "agmon.csv", ["sample", "mu", "lhs", "rhs", "passed"], rows)
+    tables["agmon.csv"] = (["sample", "mu", "lhs", "rhs", "passed"], rows)
     return all(row[-1] for row in rows), {"n_checks": len(rows)}
 
 
@@ -348,23 +352,22 @@ def _rank_one_sample(i, setup, cfg):
                                    setup.bump, setup.lam, setup.eta, x)
 
 
-def _run_rank_one(cfg, out):
+def _run_rank_one(cfg, tables):
     reports = _pool_map(_rank_one_sample, cfg["n_samples"], cfg["workers"], _setup(cfg), cfg)
     rows = [[i, rep.lhs, rep.rhs, rep.relative_error] for i, rep in reports.items()]
-    write_csv(out / "rank_one.csv", ["sample", "lhs", "rhs", "relative_error"], rows)
+    tables["rank_one.csv"] = (["sample", "lhs", "rhs", "relative_error"], rows)
     worst = max([0.0] + [row[-1] for row in rows])
     return worst <= cfg["max_rel_error"], {"max_relative_error": worst}
 
 
-def _run_fpp_kesten(cfg, out):
+def _run_fpp_kesten(cfg, tables):
     rows = kesten_tail_experiment(law_from_dict(cfg["law"]), cfg["d"], cfg["L"],
                                   cfg["gamma"], cfg["radii"], cfg["c_probe"],
                                   cfg["n_samples"], cfg["master_seed"], k=cfg["k"],
                                   workers=cfg["workers"])
-    write_csv(out / "kesten.csv",
-              ["radius", "frequency", "ci_low", "ci_high", "threshold"],
-              [[r.radius, r.frequency, r.ci_low, r.ci_high, r.threshold]
-               for r in rows])
+    tables["kesten.csv"] = (["radius", "frequency", "ci_low", "ci_high", "threshold"],
+                            [[r.radius, r.frequency, r.ci_low, r.ci_high, r.threshold]
+                             for r in rows])
     ok = all(rows[j + 1].ci_low <= rows[j].ci_high for j in range(len(rows) - 1))
     return ok, {"frequencies": [r.frequency for r in rows]}
 
@@ -375,14 +378,14 @@ def _cluster_sample(i, law, cfg):
                             ).closed_component_diameters
 
 
-def _run_cluster_tail(cfg, out):
+def _run_cluster_tail(cfg, tables):
     diameters = _pool_map(_cluster_sample, cfg["n_samples"], cfg["workers"],
                           law_from_dict(cfg["law"]), cfg)
     diams = np.asarray([x for sample in diameters.values() for x in sample])
     ns = np.arange(cfg["diam_min"], cfg["diam_max"] + 1)
     tail = np.asarray([(diams >= n).mean() if diams.size else 0.0 for n in ns])
-    write_csv(out / "diameter_tail.csv", ["n", "tail_prob", "count"],
-              [[n, t, int((diams >= n).sum())] for n, t in zip(ns, tail)])
+    rows = [[n, t, int((diams >= n).sum())] for n, t in zip(ns, tail)]
+    tables["diameter_tail.csv"] = (["n", "tail_prob", "count"], rows)
     usable = tail > 0
     if usable.sum() >= 3:
         slope = np.polyfit(ns[usable], np.log(tail[usable]), 1)[0]
@@ -392,18 +395,17 @@ def _run_cluster_tail(cfg, out):
     return ok, {"slope": float(slope), "n_components": int(diams.size)}
 
 
-def _run_anchor_1d(cfg, out):
+def _run_anchor_1d(cfg, tables):
     rep = anchoring_experiment_1d(law_from_dict(cfg["law"]), cfg["L"], cfg["gamma"],
                                   cfg["n_samples"], cfg["master_seed"],
                                   workers=cfg["workers"])
-    write_csv(out / "anchor_moments.csv", ["p", "moment"],
-              list(zip(rep.p_values, rep.moments)))
+    tables["anchor_moments.csv"] = (["p", "moment"], zip(rep.p_values, rep.moments))
     if rep.status == "INCONCLUSIVE":
         return "inconclusive", asdict(rep)
     return rep.status == "PASS", asdict(rep)
 
 
-def _run_selftest(cfg, out):
+def _run_selftest(cfg, tables):
     """Quick structural checks with a direct-factorization cross-check."""
     checks = []
     law = law_from_dict({"kind": "bernoulli", "q": 0.5})
@@ -442,7 +444,7 @@ def _run_selftest(cfg, out):
     checks.append(["determinism", 0.0,
                    bool(np.array_equal(omega.values, omega2.values))])
 
-    write_csv(out / "selftest.csv", ["check", "value", "passed"], checks)
+    tables["selftest.csv"] = (["check", "value", "passed"], checks)
     return all(c[2] for c in checks), {"n_checks": len(checks)}
 
 
@@ -468,6 +470,7 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
     """Execute one experiment; returns the process exit code."""
     flags = {"master_seed": seed, "workers": workers,
              "output_dir": None if output_dir is None else str(output_dir)}
+    t0, tables = time.time(), {}
     try:
         raw = json.loads(Path(config_path).read_text())
         if not isinstance(raw, dict):
@@ -476,17 +479,9 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
         cfg = validate_config(subcommand, raw)
         if cfg["output_dir"] is None:
             raise ConfigurationError("output_dir missing (config key or --output)")
+        result, details = _RUNNERS[subcommand](cfg, tables)
     except (ConfigurationError, LawValidationError, json.JSONDecodeError,
-            FileNotFoundError, KeyError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    try:
-        result, details = _RUNNERS[subcommand](cfg, out)
-    except (ConfigurationError, LawValidationError) as exc:
+            FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolverNonConvergenceError, SingularOperatorError, PositivityError,
@@ -495,7 +490,7 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
         return EXIT_SOLVER
     except FitError as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        result, details = False, {"reason": str(exc)}
     wall = time.time() - t0
 
     if result == "inconclusive":
@@ -505,34 +500,27 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
     else:
         verdict, code = "FAIL", EXIT_FAIL
 
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     summary = f"{subcommand} {verdict}\n"
     (out / "summary.txt").write_text(summary)
-    files = sorted(p.name for p in out.glob("*.csv")) + ["summary.txt"]
     manifest = {
         "subcommand": subcommand,
         "config": {k: v for k, v in cfg.items() if k != "output_dir"},
         "code_version": __version__,
         "seeding": "sample i uses (master_seed, sample_index=i) site-keyed streams",
         "verdict": verdict,
-        "details": _jsonable(details),
+        "details": details,
         "wall_clock_seconds": wall,
-        "files": {name: _sha256(out / name) for name in files},
+        "files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in [*tables, "summary.txt"]},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (out / "manifest.json").write_text(json.dumps(
+        manifest, indent=2, sort_keys=True, default=lambda v: v.tolist()))  # numpy values
     print(summary.strip())
     return code
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def main(argv=None) -> int:

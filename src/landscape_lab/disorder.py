@@ -9,7 +9,7 @@ that parallel generation is order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -140,15 +140,28 @@ def discrete_atoms(values, probs) -> DisorderLaw:
     return DisorderLaw(kind="discrete_atoms", values=tuple(values), probs=tuple(probs))
 
 
+def _number(x, key: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise LawValidationError(f"law field {key!r} must be a number, got {x!r}")
+    return float(x)
+
+
+def _numbers(d: dict, key: str) -> list:
+    if not isinstance(d.get(key), list):
+        raise LawValidationError(
+            f"law field {key!r} must be a list of numbers, got {d.get(key)!r}")
+    return [_number(x, key) for x in d[key]]
+
+
 def law_from_dict(d: dict) -> DisorderLaw:
     """Build a law from a config mapping, e.g. {'kind': 'bernoulli', 'q': 0.5}."""
     kind = d.get("kind")
     if kind == "bernoulli":
-        law = bernoulli(float(d["q"]))
+        law = bernoulli(_number(d.get("q"), "q"))
     elif kind == "uniform01":
         law = uniform01()
     elif kind == "discrete_atoms":
-        law = discrete_atoms(d["values"], d["probs"])
+        law = discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
     else:
         raise LawValidationError(f"unknown law kind {kind!r}")
     law.validate()

@@ -7,7 +7,7 @@ site z collects exactly m nodes per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,9 +71,6 @@ class Grid:
         """Node sitting exactly on the central lattice site (m even) or next to it."""
         z = self.L // 2
         return (z * self.m + self.m // 2,) * self.d
-
-    def cell_of_node(self, node: tuple) -> tuple:
-        return tuple(int(i) // self.m for i in node)
 
     def cell_slices(self, cell: tuple) -> tuple:
         if len(cell) != self.d or any(not (0 <= c < self.L) for c in cell):
@@ -237,22 +234,14 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
 
 
 def _assemble_sparse(H: HamiltonianSpec) -> sp.csr_matrix:
+    """The operator as a sparse matrix, built apart from the stencil code."""
     n = H.grid.n_per_side
     m2 = float(H.grid.m ** 2)
-    one = sp.identity(n, format="csr")
-    lap1 = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                    [0, 1, -1], format="lil")
-    if H.grid.bc == "periodic":
-        lap1[0, n - 1] += -1.0
-        lap1[n - 1, 0] += -1.0
-    lap1 = (m2 * lap1).tocsr()
-    lap = None
-    for ax in range(H.grid.d):
-        term = None
-        for j in range(H.grid.d):
-            blk = lap1 if j == ax else one
-            term = blk if term is None else sp.kron(term, blk, format="csr")
-        lap = term if lap is None else lap + term
+    offsets = [0, 1, -1] + ([n - 1, 1 - n] if H.grid.bc == "periodic" else [])
+    lap1 = sp.diags([2.0 * m2] + [-m2] * (len(offsets) - 1), offsets, shape=(n, n))
+    lap = lap1
+    for _ in range(H.grid.d - 1):
+        lap = sp.kronsum(lap, lap1)
     diag = (H.lam * H.potential.values + H.eta).ravel(order="C")
     return (lap + sp.diags(diag)).tocsr()
 

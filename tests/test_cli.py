@@ -19,6 +19,15 @@ def write_cfg(tmp_path, name, cfg):
     return p
 
 
+def files_match_manifest(out):
+    """out's manifest, once its files are exactly out's other files and checksums match."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return manifest
+
+
 def green_cfg(**kw):
     cfg = {"d": 1, "L": 32, "m": 20, "law": LAW, "lambda": 1.0, "eta": 1e-4,
            "p": 1.0, "n_samples": 4, "master_seed": 3,
@@ -45,6 +54,13 @@ class TestValidateConfig:
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ConfigurationError, match="n_samples"):
             validate_config("green-decay", green_cfg(n_samples=0))
+
+    def test_rule_after_a_skipped_default(self):
+        # the rejected margin stops r_min's default; r_max's rule must not read it
+        cfg = green_cfg(margin=-1)
+        del cfg["r_min"]
+        with pytest.raises(ConfigurationError, match="margin"):
+            validate_config("green-decay", cfg)
 
     def test_defaults_filled(self):
         out = validate_config("green-decay", green_cfg())
@@ -85,7 +101,14 @@ class TestExitCodes:
 
     def test_empty_fit_window_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg(r_min=9.0, r_max=10.0))
-        assert run("green-decay", cfg, output_dir=tmp_path / "out") == 4
+        out = tmp_path / "out"
+        assert run("green-decay", cfg, output_dir=out) == 4
+        # an ordinary FAIL: the curve filled before the fit, a verdict and a reason
+        manifest = files_match_manifest(out)
+        assert set(manifest["files"]) == {"curve.csv", "summary.txt"}
+        assert manifest["verdict"] == "FAIL"
+        assert manifest["details"] == {"reason": "only 2 usable bins in [9.0, 10.0]"}
+        assert (out / "summary.txt").read_text() == "green-decay FAIL\n"
 
     def test_small_anchor_run_is_inconclusive(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
@@ -172,6 +195,9 @@ class TestEverySubcommand:
         ("green-decay", "experiment", "x"),     # no longer a key
         ("cluster-tail", "diam_max", 1),        # below the default diam_min 2
         ("eta-convergence", "ratio_lo", 30.0),  # above the default ratio_hi 20
+        ("green-decay", "law", {"kind": "bernoulli"}),
+        ("green-decay", "law", {"kind": "bernoulli", "q": "a"}),
+        ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 1.0]}),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
@@ -206,6 +232,53 @@ class TestEverySubcommand:
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS["rank-one-check"], **offsets))
         assert run("rank-one-check", cfg, output_dir=tmp_path / "out") == 2
+
+
+class TestOutputDirectory:
+    """A run leaves no output directory (exits 2 and 3) or a complete one.
+
+    Exit 3 is checked in TestFailurePolicy, where solves fail on purpose."""
+
+    @pytest.mark.parametrize("subcommand, change, code", [
+        ("selftest", {}, 0),
+        ("cluster-tail", {}, 4),
+        ("anchor-1d", {}, 5),
+        # rejected only inside the library calls, after the table checks
+        ("green-decay", {"d": 4}, 2),
+        ("green-decay", {"m": 10}, 2),
+        ("green-decay", {"law": {"kind": "bernoulli", "q": 1.5}}, 2),
+        ("agmon-check", {"cutoff_inner": 0.1}, 2),
+        ("covariance", {"n_samples": 1}, 2),
+        ("covariance", {"observable": "v"}, 2),
+        ("eta-convergence", {"etas": [1e-2, 1e-3]}, 2),
+        ("fpp-kesten", {"radii": [2, 1]}, 2),
+    ])
+    def test_absent_or_complete(self, tmp_path, subcommand, change, code):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], **change))
+        assert run(subcommand, cfg, output_dir=out) == code
+        if code == 2:
+            assert not out.exists()
+        else:
+            verdict = {0: "PASS", 4: "FAIL", 5: "INCONCLUSIVE"}[code]
+            assert files_match_manifest(out)["verdict"] == verdict
+
+    def test_second_run_lists_only_its_own_files(self, tmp_path):
+        out, given = tmp_path / "out", SMOKE_CONFIGS["lambda-scaling"]
+        assert run("lambda-scaling", write_cfg(tmp_path, "a.json", given), output_dir=out) == 0
+        cfg = write_cfg(tmp_path, "b.json", dict(given, lambdas=[2.0]))
+        assert run("lambda-scaling", cfg, output_dir=out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["curve_lambda_2.csv", "fits.csv", "summary.txt"]
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("output", ["afile", "afile/sub"])
+    def test_output_path_through_a_file_exits_2(self, tmp_path, output):
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_cfg(tmp_path, "c.json", {})
+        assert run("selftest", cfg, output_dir=tmp_path / output) == 2
+        assert (tmp_path / "afile").read_text() == "kept"
 
 
 class TestEffectiveConfig:
@@ -350,6 +423,7 @@ class TestFailurePolicy:
         fail_calls(monkeypatch, module, name, {7, 12})
         cfg = write_cfg(tmp_path, "c.json", given)
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
 
 
 class TestWriteCsv:
