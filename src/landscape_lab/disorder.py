@@ -153,17 +153,27 @@ def _numbers(d: dict, key: str) -> list:
     return [_number(x, key) for x in d[key]]
 
 
+_LAW_FIELDS = {"bernoulli": {"kind", "q"}, "uniform01": {"kind"},
+               "discrete_atoms": {"kind", "values", "probs"}}
+
+
 def law_from_dict(d: dict) -> DisorderLaw:
-    """Build a law from a config mapping, e.g. {'kind': 'bernoulli', 'q': 0.5}."""
+    """Build a law from a config mapping, e.g. {'kind': 'bernoulli', 'q': 0.5}.
+
+    A field the kind does not use is an error, not silently dropped.
+    """
     kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _LAW_FIELDS:
+        raise LawValidationError(f"unknown law kind {kind!r}")
+    unused = sorted(set(d) - _LAW_FIELDS[kind])
+    if unused:
+        raise LawValidationError(f"law kind {kind!r} takes no field {unused}")
     if kind == "bernoulli":
         law = bernoulli(_number(d.get("q"), "q"))
     elif kind == "uniform01":
         law = uniform01()
-    elif kind == "discrete_atoms":
-        law = discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
     else:
-        raise LawValidationError(f"unknown law kind {kind!r}")
+        law = discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
     law.validate()
     return law
 

@@ -166,7 +166,10 @@ def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
 
 
 def _preconditioner(H: HamiltonianSpec, diag: np.ndarray):
-    """r -> M^-1 r: the exact tridiagonal factor for 1-d Dirichlet, else Jacobi."""
+    """r -> M^-1 r.  1-d Dirichlet: the operator's banded Cholesky factor.  Else
+    M = -Lap_h + eta + lambda*mean(V) by a real FFT (periodic) or a DST-II
+    (Dirichlet, ghost node half a step out: SPD, inexact); no stored factor.
+    """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         band = np.empty((2, diag.size))   # upper form: superdiagonal, diagonal
         band[0] = -float(H.grid.m ** 2)
@@ -176,19 +179,29 @@ def _preconditioner(H: HamiltonianSpec, diag: np.ndarray):
         except sla.LinAlgError as exc:
             raise SingularOperatorError("operator is not positive definite") from exc
         return lambda r: sla.cho_solve_banded((factor, False), r)
-    dinv = 1.0 / diag
-    return lambda r: dinv * r
+    import scipy.fft as sfft   # only here, so other grids skip its import cost
+    n, periodic = H.grid.n_per_side, H.grid.bc == "periodic"
+    # 1-d eigenvalues 4 m^2 sin^2(pi k / n): k = 0..n-1 periodic, 1/2..n/2 DST-II
+    k = np.arange(n) if periodic else np.arange(1, n + 1) / 2.0
+    eig = 4.0 * H.grid.m ** 2 * np.sin(np.pi * k / n) ** 2
+    axes = [eig] * H.grid.d
+    if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
+        axes[-1] = eig[:n // 2 + 1]
+    scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
+    if periodic:
+        return lambda r: sfft.irfftn(scale * sfft.rfftn(r), s=r.shape, overwrite_x=True)
+    return lambda r: sfft.idstn(scale * sfft.dstn(r, type=2), type=2, overwrite_x=True)
 
 
 def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
              max_iter: int | None = None) -> ScalarField:
     """Preconditioned CG down to ||A f - rhs|| <= tol * ||rhs||.
 
-    On a 1-d Dirichlet grid the operator is tridiagonal and the
-    preconditioner is its banded Cholesky factor, so one iteration solves
-    the system; every other grid uses Jacobi.  Either way an answer is
-    accepted only on the stencil's true residual.  Fixed iteration order and
-    plain numpy reductions keep the result bit-stable across runs.
+    A 1-d Dirichlet solve takes one iteration, any other some ten.  Only the
+    stencil's true residual accepts an answer; a failed check restarts CG from
+    it.  A stall (p.Ap <= 0, or a true residual that does not fall between two
+    checks) raises like max_iter does, reporting the true relres.  Fixed order
+    and plain numpy reductions keep the result bit-stable across runs.
     """
     if rhs.grid != H.grid:
         raise GridMismatchError("rhs and Hamiltonian grids differ")
@@ -202,35 +215,34 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
     precond = _preconditioner(H, diag)
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
     history = [1.0]
-    for it in range(max_iter):
+    checked, p = np.inf, None   # p None: steepest-descent (re)start
+    for _ in range(max_iter):
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = _apply_raw(H, p, diag)
         pAp = float(np.vdot(p, Ap))
-        if pAp <= 0.0:
-            raise SingularOperatorError("operator is not positive definite")
+        if not pAp > 0.0:
+            break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         relres = float(np.linalg.norm(r)) / bnorm
         history.append(relres)
-        if relres <= tol:
-            # guard against recurrence drift: check the true residual
+        if relres <= tol:   # guard against recurrence drift
             r = b - _apply_raw(H, x, diag)
-            if float(np.linalg.norm(r)) / bnorm <= tol:
+            relres = float(np.linalg.norm(r)) / bnorm
+            if relres <= tol:
                 return ScalarField(grid=H.grid, values=x)
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        if rz_new == 0.0:   # exact (to round-off) solution reached
-            return ScalarField(grid=H.grid, values=x)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
+            if relres >= checked:
+                break
+            checked, p = relres, None
+    relres = float(np.linalg.norm(b - _apply_raw(H, x, diag))) / bnorm
     raise SolverNonConvergenceError(
-        f"CG did not reach tol={tol} in {max_iter} iterations "
-        f"(last relres={history[-1]:.3e})", residual_history=history)
+        f"CG stopped above tol={tol} after {len(history) - 1} of {max_iter} "
+        f"iterations (true relres={relres:.3e})", residual_history=history)
 
 
 def _assemble_sparse(H: HamiltonianSpec) -> sp.csr_matrix:
@@ -253,8 +265,6 @@ def dense_solve_oracle(H: HamiltonianSpec, rhs: ScalarField) -> ScalarField:
     if H.grid.n_nodes > _MAX_DENSE_NODES:
         raise ConfigurationError(
             f"direct oracle limited to {_MAX_DENSE_NODES} nodes, got {H.grid.n_nodes}")
-    if H.grid.bc == "periodic" and H.mass_floor() <= 0.0:
-        raise SingularOperatorError("periodic operator without mass or potential")
     A = _assemble_sparse(H).tocsc()
     lu = spla.splu(A)
     x = lu.solve(rhs.values.ravel(order="C"))

@@ -198,6 +198,8 @@ class TestEverySubcommand:
         ("green-decay", "law", {"kind": "bernoulli"}),
         ("green-decay", "law", {"kind": "bernoulli", "q": "a"}),
         ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 1.0]}),
+        ("green-decay", "law", {"kind": "uniform01", "q": 0.3}),
+        ("green-decay", "law", {"kind": "bernoulli", "q": 0.3, "values": [5]}),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
@@ -424,6 +426,17 @@ class TestFailurePolicy:
         cfg = write_cfg(tmp_path, "c.json", given)
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, given", [
+        ("energy-check", dict(TINY_1D, n_samples=2, tol=1e-300)),
+        # V = 0, eta = 1e-6: the true residual of a delta stays above tol 1e-9
+        ("green-decay", dict(SMOKE_CONFIGS["green-decay"], L=128, bc="periodic",
+                             eta=1e-6, **{"lambda": 0.0}))])
+    def test_stalled_solves_exit_3(self, tmp_path, caplog, subcommand, given):
+        cfg = write_cfg(tmp_path, "c.json", given)
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
+        assert "sample 0 skipped: CG stopped above tol" in caplog.text
 
 
 class TestWriteCsv:

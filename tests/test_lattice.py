@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,8 @@ from landscape_lab.errors import (ConfigurationError, GridMismatchError,
                                   SingularOperatorError,
                                   SolverNonConvergenceError)
 from landscape_lab import lattice
+from landscape_lab.disorder import (assemble_potential, default_bump, sample_omega,
+                                    uniform01)
 from landscape_lab.green import delta_rhs
 from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField,
                                    apply_hamiltonian, cg_solve,
@@ -232,6 +240,62 @@ class TestBandedPreconditioner:
             assert self.rel_error(x, dense_solve_oracle(H, rhs)) <= 1e-10
             with pytest.raises(SolverNonConvergenceError):
                 cg_solve(H, rhs, tol=1e-10, max_iter=1)
+
+
+class TestSpectralPreconditioner:
+    """Every grid but 1-d Dirichlet: constant-mass Laplacian by FFT or DST-II."""
+
+    @pytest.mark.parametrize("d, L, m, bc", [
+        (1, 32, 20, "periodic"), (2, 8, 11, "dirichlet"), (3, 4, 5, "dirichlet"),
+        (2, 8, 11, "periodic"), (3, 4, 5, "periodic")])
+    def test_matches_oracle(self, d, L, m, bc):
+        H = random_spec(d=d, L=L, m=m, bc=bc, eta=1e-3, seed=10 + d)
+        for rhs in TestBandedPreconditioner.rhs_cases(H.grid):
+            x = cg_solve(H, rhs, tol=1e-10)
+            rel = TestBandedPreconditioner.rel_error(x, dense_solve_oracle(H, rhs))
+            assert rel <= 1e-8
+
+    def test_influence_grid_apply_count(self, monkeypatch):
+        # the influence-2d benchmark grid; a diagonal preconditioner needs about 835
+        grid = Grid(d=2, L=12, m=20)
+        omega = sample_omega(uniform01(), (grid.L, grid.L), 101, 0)
+        H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
+                            potential=assemble_potential(omega, default_bump(), grid))
+        calls = []
+        raw = lattice._apply_raw
+        monkeypatch.setattr(lattice, "_apply_raw",
+                            lambda *args: calls.append(1) or raw(*args))
+        cg_solve(H, ScalarField.constant(grid, 1.0))
+        assert len(calls) <= 40
+
+    def test_cli_import_leaves_fft_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, landscape_lab.cli; print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
+class TestStall:
+    """Tolerances below round-off end in SolverNonConvergenceError, quickly."""
+
+    def test_unreachable_tol(self):
+        H = random_spec(L=16, m=20, bc="periodic", eta=1e-3, seed=12)
+        with pytest.raises(SolverNonConvergenceError, match="true relres"):
+            cg_solve(H, ScalarField.constant(H.grid, 1.0), tol=1e-300)
+
+    def test_massless_periodic_delta(self):
+        # V = 0, eta = 1e-6: the true residual floor sits above the default tol
+        grid = Grid(d=1, L=128, m=20, bc="periodic")
+        H = zero_potential_spec(grid, eta=1e-6)
+        import scipy.fft   # loaded first, so the timing covers the solve alone
+        start = time.perf_counter()
+        with pytest.raises(SolverNonConvergenceError) as exc:
+            cg_solve(H, delta_rhs(grid, grid.center_node))
+        assert time.perf_counter() - start < 1.0
+        relres = float(str(exc.value).rsplit("true relres=", 1)[1].rstrip(")"))
+        assert np.isfinite(relres) and relres > 1e-9
 
 
 class TestDenseOracle:
