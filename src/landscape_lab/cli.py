@@ -2,12 +2,13 @@
 
 Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
 per subcommand, each key's type, its default (or that it is required) and
-its range rule.  Validation rejects unknown keys, wrong types and values out
-of range (n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta,
-etas, sample_index >= 0; 0 <= margin < L/2; r_max > r_min; ratio_hi >=
-ratio_lo; diam_max >= diam_min; rank-one-check's offsets inside the box; no
-file at or above output_dir), also when the --seed/--workers/--output flags
-set them, and fills in every default, so runners read ``cfg[key]`` only.
+its range rule.  Validation rejects unknown keys, wrong types, non-finite
+floats (also in lists and law fields) and values out of range (n_samples,
+workers, k >= 1; tol, p, lambdas > 0; lambda, eta, etas, sample_index >= 0;
+0 <= margin < L/2; r_max > r_min; ratio_hi >= ratio_lo; diam_max >=
+diam_min; rank-one-check's offsets inside the box; no file at or above
+output_dir), also when the --seed/--workers/--output flags set them, and
+fills in every default, so runners read ``cfg[key]`` only.
 Samples run through ``stats._pool_map``: any worker count gives the same
 bytes, and a failed solve skips its sample (more than 5 % skipped exits 3).
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
@@ -16,7 +17,8 @@ manifest.json with the effective config (fed back as a config, it reproduces
 the run) and the checksums of exactly those files.  A failed decay fit is a
 FAIL with its reason in the manifest.  Exit codes: 0 ok/pass, 2 validation
 error, 3 solver failure, 4 statistical FAIL, 5 inconclusive; 2 and 3 write
-nothing.
+nothing, except that an OSError while writing output_dir also exits 2 (with
+a one-line "output error" message) and may leave the files written before it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .disorder import law_from_dict, sample_omega
+from .disorder import default_bump, law_from_dict, sample_omega
 from .errors import (ConfigurationError, ExperimentError, FitError,
                      LawValidationError, PositivityError, SingularOperatorError,
                      SolverNonConvergenceError)
@@ -172,15 +174,18 @@ TABLES = {name: {**_BASE, **keys} for name, keys in {
 def _typed(val, want):
     """val as a `want`, or None if it is not one.
 
-    JSON ints pass as floats (and become floats), bools pass as nothing,
-    and [t] takes a non-empty list of t.
+    JSON ints pass as floats (and become floats), bools pass as nothing, a
+    float must be finite (JSON's NaN and Infinity fail, so do ints past the
+    float range), and [t] takes a non-empty list of t.
     """
     if isinstance(want, list):
         items = [_typed(v, want[0]) for v in val] if isinstance(val, list) else []
         return items if items and None not in items else None
     if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
         return None
-    return float(val) if want is float else val
+    if want is not float:
+        return val
+    return float(val) if abs(val) <= sys.float_info.max else None
 
 
 def validate_config(subcommand: str, cfg: dict) -> dict:
@@ -196,6 +201,7 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
             if out[key] is None:
                 name = (f"a non-empty list of {spec.type[0].__name__}"
                         if isinstance(spec.type, list) else spec.type.__name__)
+                name = name.replace("float", "finite float")
                 errors.append(f"key {key!r} must be {name}")
         elif spec.default is REQUIRED:
             errors.append(f"missing required key {key!r}")
@@ -299,7 +305,7 @@ def _run_vertical_derivative(cfg, tables):
 
 
 def _eta_sample(i, setup, cfg):
-    return eta_convergence_study(setup.omega(cfg["master_seed"], i), setup.bump,
+    return eta_convergence_study(setup.omega(cfg["master_seed"], i), default_bump(),
                                  setup.grid(), setup.lam, cfg["etas"],
                                  tol=min(setup.tol, 1e-10))
 
@@ -349,7 +355,7 @@ def _rank_one_sample(i, setup, cfg):
     z = (grid.L // 2 + cfg["z_offset"],) * grid.d
     x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
     return rank_one_identity_check(setup.omega(cfg["master_seed"], i), z, grid,
-                                   setup.bump, setup.lam, setup.eta, x)
+                                   default_bump(), setup.lam, setup.eta, x)
 
 
 def _run_rank_one(cfg, tables):
@@ -500,25 +506,28 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
     else:
         verdict, code = "FAIL", EXIT_FAIL
 
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    summary = f"{subcommand} {verdict}\n"
-    (out / "summary.txt").write_text(summary)
-    manifest = {
-        "subcommand": subcommand,
-        "config": {k: v for k, v in cfg.items() if k != "output_dir"},
-        "code_version": __version__,
-        "seeding": "sample i uses (master_seed, sample_index=i) site-keyed streams",
-        "verdict": verdict,
-        "details": details,
-        "wall_clock_seconds": wall,
-        "files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                  for name in [*tables, "summary.txt"]},
-    }
-    (out / "manifest.json").write_text(json.dumps(
-        manifest, indent=2, sort_keys=True, default=lambda v: v.tolist()))  # numpy values
+    out, summary = Path(cfg["output_dir"]), f"{subcommand} {verdict}\n"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        (out / "summary.txt").write_text(summary)
+        manifest = {
+            "subcommand": subcommand,
+            "config": {k: v for k, v in cfg.items() if k != "output_dir"},
+            "code_version": __version__,
+            "seeding": "sample i uses (master_seed, sample_index=i) site-keyed streams",
+            "verdict": verdict,
+            "details": details,
+            "wall_clock_seconds": wall,
+            "files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                      for name in [*tables, "summary.txt"]},
+        }
+        (out / "manifest.json").write_text(json.dumps(
+            manifest, indent=2, sort_keys=True, default=lambda v: v.tolist()))  # numpy values
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(summary.strip())
     return code
 

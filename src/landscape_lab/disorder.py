@@ -9,8 +9,8 @@ that parallel generation is order-independent.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -108,15 +108,9 @@ class DisorderLaw:
     def prob_ge(self, x: float) -> float:
         return 1.0 - self.prob_lt(x)
 
-    def mean(self) -> float:
-        if self.kind == "bernoulli":
-            return self.q
-        if self.kind == "uniform01":
-            return 0.5
-        return float(np.dot(self.values, self.probs))
-
-    def upper_quantile(self, tail: float = 0.25) -> float:
-        """Largest threshold g with P[w >= g] >= tail (used as anchoring default)."""
+    def upper_quantile(self) -> float:
+        """Largest threshold g with P[w >= g] >= 1/4 (the default gamma)."""
+        tail = 0.25
         if self.kind == "bernoulli":
             return 1.0 if self.q >= tail else 0.0
         if self.kind == "uniform01":
@@ -141,8 +135,9 @@ def discrete_atoms(values, probs) -> DisorderLaw:
 
 
 def _number(x, key: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise LawValidationError(f"law field {key!r} must be a number, got {x!r}")
+    """x as a float; JSON's NaN and Infinity, and ints past the float range, fail."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise LawValidationError(f"law field {key!r} must be a finite number, got {x!r}")
     return float(x)
 
 
@@ -180,21 +175,13 @@ def law_from_dict(d: dict) -> DisorderLaw:
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Radially symmetric smooth bump, support strictly inside radius 1/10.
-
-    The default profile is the canonical mollifier normalized to 1 at the
-    origin; a custom radial profile (of the scaled radius r/radius) can be
-    supplied as a picklable callable.
-    """
+    """Radially symmetric smooth bump, support strictly inside radius 1/10:
+    the canonical mollifier, normalized to 1 at the origin."""
 
     radius: float = 0.1
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        s = r / self.radius
-        if self.profile is not None:
-            return np.where(s < 1.0, self.profile(s), 0.0)
+        s = np.asarray(r, dtype=float) / self.radius
         out = np.zeros_like(s)
         inside = s < 1.0
         with np.errstate(divide="ignore", over="ignore"):

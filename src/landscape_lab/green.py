@@ -56,12 +56,11 @@ def delta_rhs(grid: Grid, node: tuple) -> ScalarField:
     return ScalarField(grid=grid, values=v)
 
 
-def green_column(H: HamiltonianSpec, x0, tol: float = 1e-9,
-                 max_iter: int | None = None) -> GreenColumn:
+def green_column(H: HamiltonianSpec, x0, tol: float = 1e-9) -> GreenColumn:
     x0 = tuple(int(i) for i in np.atleast_1d(x0))
     if len(x0) != H.grid.d or any(not (0 <= i < H.grid.n_per_side) for i in x0):
         raise ConfigurationError(f"source node {x0} outside grid")
-    f = cg_solve(H, delta_rhs(H.grid, x0), tol=tol, max_iter=max_iter)
+    f = cg_solve(H, delta_rhs(H.grid, x0), tol=tol)
     return GreenColumn(source=x0, field=f, spec=H, tol=tol)
 
 
@@ -83,33 +82,24 @@ def massive_domination_check(G: GreenColumn) -> DominationReport:
                             tolerance=tolerance, passed=violation <= tolerance)
 
 
-def cube_mass(G: GreenColumn, cell) -> float:
-    """Midpoint quadrature of the column over one unit cell."""
-    grid = G.spec.grid
-    sl = grid.cell_slices(tuple(int(c) for c in np.atleast_1d(cell)))
-    return float(G.field.values[sl].sum()) * grid.h ** grid.d
-
-
 def all_cell_masses(G: GreenColumn) -> np.ndarray:
-    """Cube masses of every cell at once, shape (L,)*d."""
+    """Cube masses (midpoint quadrature over each unit cell), shape (L,)*d."""
     grid = G.spec.grid
     return cell_reduce(G.field.values, grid, np.add) * grid.h ** grid.d
 
 
 def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
-                            lam: float, eta: float, x, origin=None,
-                            tol: float = 1e-12, floor: float = 1e-6) -> RankOneReport:
+                            lam: float, eta: float, x) -> RankOneReport:
     """Exact single-site perturbation identity of the discrete resolvent.
 
-    Compares (G - G^-)(x, origin) with the quadrature of
-    lam * G(x,.) * (V^- - V) * G^-(., origin), where V^- is the potential with
-    the amplitude at site z forced to 1.
+    Compares (G - G^-)(x, o) with the quadrature of
+    lam * G(x,.) * (V^- - V) * G^-(., o), where o is the grid's center node
+    and V^- the potential with the amplitude at site z forced to 1.
     """
     z = tuple(int(c) for c in np.atleast_1d(z))
     if any(not (0 <= c < b) for c, b in zip(z, omega.box)):
         raise IndexError(f"site {z} outside box {omega.box}")
-    if origin is None:
-        origin = grid.center_node
+    origin, tol = grid.center_node, 1e-12
     x = tuple(int(i) for i in np.atleast_1d(x))
 
     V = assemble_potential(omega, bump, grid)
@@ -132,7 +122,7 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
         np.sum(g_x.field.values * dv * g_minus.field.values))
     # when the site is already at full amplitude both sides are exactly zero,
     # so floor the scale at a small multiple of the Green function magnitude
-    scale = max(abs(lhs), abs(rhs), floor * abs(g_x.field.values[origin]))
+    scale = max(abs(lhs), abs(rhs), 1e-6 * abs(g_x.field.values[origin]))
     return RankOneReport(lhs=lhs, rhs=rhs, relative_error=abs(lhs - rhs) / scale)
 
 

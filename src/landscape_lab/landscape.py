@@ -1,8 +1,8 @@
 """The landscape solve u of -Lap u + (lam V + eta) u = 1 and its derived data.
 
-Covers the regularized solve, moment estimation over unit cells, the
-small-mass convergence table, the stationary energy estimate, and the derived
-fields 1/u and grad log u.
+Covers the regularized solve with its per-cell maxima, the small-mass
+convergence table, the stationary energy estimate, and the derived fields
+1/u and grad log u.
 """
 
 from __future__ import annotations
@@ -41,70 +41,25 @@ class EtaRow:
     ratio_to_eta: float
 
 
-def cell_maxima(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return cell_reduce(values, grid, np.maximum)
-
-
-def cell_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return cell_reduce(values, grid, np.add) * grid.h ** grid.d
-
-
-def solve_landscape(H: HamiltonianSpec, tol: float = 1e-9,
-                    max_iter: int | None = None) -> LandscapeSolution:
-    u = cg_solve(H, ScalarField.constant(H.grid, 1.0), tol=tol, max_iter=max_iter)
+def solve_landscape(H: HamiltonianSpec, tol: float = 1e-9) -> LandscapeSolution:
+    u = cg_solve(H, ScalarField.constant(H.grid, 1.0), tol=tol)
     if float(u.values.min()) <= 0.0:
         raise PositivityError(
             f"landscape solution not positive (min={u.values.min():.3e})")
     denom = H.lam + H.eta
     floor = 1.0 / denom if denom > 0.0 else np.inf
     return LandscapeSolution(u=u, spec=H,
-                             sup_per_cell=cell_maxima(u.values, H.grid),
+                             sup_per_cell=cell_reduce(u.values, H.grid, np.maximum),
                              floor=floor)
 
 
-def interior_cells(grid: Grid, margin: int):
-    """Multi-indices of cells at |.|-distance >= margin from the box boundary."""
-    lo, hi = margin, grid.L - margin
-    if hi <= lo:
-        raise ConfigurationError(f"margin {margin} leaves no interior cells")
-    ranges = [range(lo, hi)] * grid.d
-    out = np.stack(np.meshgrid(*[np.asarray(r) for r in ranges], indexing="ij"),
-                   axis=-1).reshape(-1, grid.d)
-    return [tuple(row) for row in out]
-
-
-def landscape_moments(samples, p: float, margin: int = 5):
-    """Monte Carlo estimate of E[sup_Q u^p]^(1/p) over interior cells.
-
-    Returns (estimate, ci_half_width); the CI comes from the normal
-    approximation on per-sample spatial means of sup^p.
-    """
-    if len(samples) < 30:
-        raise ConfigurationError("need at least 30 samples for a moment estimate")
-    if p < 1:
-        raise ConfigurationError("moment order must be >= 1")
-    grid = samples[0].spec.grid
-    eff_margin = margin if grid.bc == "dirichlet" else 0
-    lo, hi = eff_margin, grid.L - eff_margin
-    if hi <= lo:
-        raise ConfigurationError("empty window")
-    window = tuple(slice(lo, hi) for _ in range(grid.d))
-    per_sample = np.asarray([float((s.sup_per_cell[window] ** p).mean())
-                             for s in samples])
-    mean = per_sample.mean()
-    sem = per_sample.std(ddof=1) / np.sqrt(len(samples)) if len(samples) > 1 else 0.0
-    est = mean ** (1.0 / p)
-    hi_est = (mean + 1.96 * sem) ** (1.0 / p)
-    lo_est = max(mean - 1.96 * sem, 0.0) ** (1.0 / p)
-    return est, max(hi_est - est, est - lo_est)
-
-
 def eta_convergence_study(omega: OmegaField, bump: BumpProfile, grid: Grid,
-                          lam: float, etas, margin: int = 2, tol: float = 1e-10):
+                          lam: float, etas, tol: float = 1e-10):
     """Sup-norm distance of u_eta to the smallest-eta reference, per eta.
 
     The smallest eta in the (strictly decreasing) list serves as the proxy for
-    the eta -> 0 limit; differences should scale linearly in eta.
+    the eta -> 0 limit; differences should scale linearly in eta.  The sups
+    skip the nodes within 2 unit cells of the boundary.
     """
     etas = [float(e) for e in etas]
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
@@ -115,9 +70,7 @@ def eta_convergence_study(omega: OmegaField, bump: BumpProfile, grid: Grid,
         H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
         sols[eta] = solve_landscape(H, tol=tol).u.values
     ref = sols[etas[-1]]
-    lo = margin * grid.m
-    hi = grid.n_per_side - margin * grid.m
-    win = tuple(slice(lo, hi) for _ in range(grid.d))
+    win = (slice(2 * grid.m, grid.n_per_side - 2 * grid.m),) * grid.d
     rows = []
     for eta in etas[:-1]:
         diff = sols[eta] - ref

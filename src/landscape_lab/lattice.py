@@ -118,12 +118,9 @@ class HamiltonianSpec:
             raise ConfigurationError("potential must be nonnegative")
         if self.lam < 0.0 or self.eta < 0.0:
             raise ConfigurationError("lambda and eta must be nonnegative")
-        if self.grid.bc == "periodic" and self.mass_floor() <= 0.0:
+        if self.grid.bc == "periodic" and self.eta + self.lam * self.potential.values.max() <= 0.0:
             raise SingularOperatorError(
                 "periodic operator with eta = 0 and lambda*V = 0 is singular")
-
-    def mass_floor(self) -> float:
-        return self.eta + self.lam * float(self.potential.values.max())
 
     def diagonal(self) -> np.ndarray:
         return (2.0 * self.grid.d * self.grid.m ** 2

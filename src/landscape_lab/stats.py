@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .disorder import (BumpProfile, DisorderLaw, OmegaField, assemble_potential,
+from .disorder import (DisorderLaw, OmegaField, assemble_potential, default_bump,
                        resample_site, sample_omega)
 from .errors import (ConfigurationError, ExperimentError, FitError, PositivityError,
                      SingularOperatorError, SolverNonConvergenceError)
@@ -23,7 +23,7 @@ from .lattice import Grid, HamiltonianSpec
 
 log = logging.getLogger(__name__)
 
-BOOTSTRAP_DEFAULT = 200
+N_BOOT = 200   # bootstrap resamples per confidence interval
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class ExperimentSetup:
     lam: float | None       # None where the experiment sweeps lambda
     eta: float | None       # None where the experiment sweeps eta
     bc: str = "dirichlet"
-    bump: BumpProfile = BumpProfile()
     tol: float = 1e-9
     margin: int = 5
 
@@ -74,7 +73,7 @@ class ExperimentSetup:
         return sample_omega(self.law, (self.L,) * self.d, master_seed, sample_index)
 
     def operator(self, omega: OmegaField) -> HamiltonianSpec:
-        V = assemble_potential(omega, self.bump, self.grid())
+        V = assemble_potential(omega, default_bump(), self.grid())
         return HamiltonianSpec(grid=self.grid(), potential=V, lam=self.lam, eta=self.eta)
 
     def hamiltonian(self, master_seed: int, sample_index: int) -> HamiltonianSpec:
@@ -109,13 +108,12 @@ def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
     return kept
 
 
-def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int,
-                  n_boot: int = BOOTSTRAP_DEFAULT) -> np.ndarray:
-    """Half-widths from bootstrap resampling over the sample axis (axis 0)."""
+def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int) -> np.ndarray:
+    """Half-widths from N_BOOT bootstrap resamples over the sample axis (axis 0)."""
     rng = np.random.default_rng(seed)
     n = per_sample.shape[0]
-    reps = np.empty((n_boot,) + np.shape(statistic(per_sample)))
-    for b in range(n_boot):
+    reps = np.empty((N_BOOT,) + np.shape(statistic(per_sample)))
+    for b in range(N_BOOT):
         idx = rng.integers(0, n, size=n)
         reps[b] = statistic(per_sample[idx])
     return 1.96 * np.nanstd(reps, axis=0, ddof=1)
@@ -142,9 +140,8 @@ def _shell_index(grid: Grid, margin: int):
 
 
 def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
-                           master_seed: int, workers: int = 1,
-                           n_boot: int = BOOTSTRAP_DEFAULT) -> MomentCurve:
-    """Shell-averaged E[cube_mass^p]^(1/p) of center-source Green columns."""
+                           master_seed: int, workers: int = 1) -> MomentCurve:
+    """Shell-averaged E[(cube mass)^p]^(1/p) of center-source Green columns."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     grid = setup.grid()
@@ -161,18 +158,17 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
         return np.mean(rows, axis=0) ** (1.0 / p)
 
     values = stat(S)
-    ci = _bootstrap_ci(S, stat, seed=master_seed ^ 0x5EED, n_boot=n_boot)
+    ci = _bootstrap_ci(S, stat, seed=master_seed ^ 0x5EED)
     return MomentCurve(distances=np.asarray(dists, dtype=float),
                        values=values, ci=ci, p=p)
 
 
-def fit_exponential_decay(curve: MomentCurve, r_min: float, r_max: float,
-                          floor: float = 0.0) -> DecayFit:
+def fit_exponential_decay(curve: MomentCurve, r_min: float, r_max: float) -> DecayFit:
     """Weighted least squares of log(value) on distance; rate = -slope."""
     if r_min >= r_max:
         raise ConfigurationError("need r_min < r_max")
     mask = ((curve.distances >= r_min) & (curve.distances <= r_max)
-            & (curve.values > floor) & np.isfinite(curve.values))
+            & (curve.values > 0.0) & np.isfinite(curve.values))
     if int(mask.sum()) < 4:
         raise FitError(f"only {int(mask.sum())} usable bins in [{r_min}, {r_max}]")
     r = curve.distances[mask]
@@ -244,8 +240,7 @@ def _cov_sample(i, setup, master_seed, observables, sep_nodes, center):
 
 
 def covariance_suite(setup: ExperimentSetup, observables, separations,
-                     n_samples: int, master_seed: int, workers: int = 1,
-                     n_boot: int = BOOTSTRAP_DEFAULT):
+                     n_samples: int, master_seed: int, workers: int = 1):
     """Covariances between the center and axis-shifted points, one solve per sample.
 
     Returns {observable: [CovariancePoint per separation]}; all observables
@@ -286,7 +281,7 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
     for observable in observables:
         data = np.stack([r[observable] for r in rows.values()])  # (n, 1 + n_seps, n_comp)
         covs = stat(data)
-        ci = _bootstrap_ci(data, stat, seed=master_seed ^ 0xC0F, n_boot=n_boot)
+        ci = _bootstrap_ci(data, stat, seed=master_seed ^ 0xC0F)
         result[observable] = [
             CovariancePoint(separation=float(s), cov=float(c), ci=float(w),
                             observable=observable)
@@ -311,8 +306,7 @@ def _vert_sample(i, setup, master_seed, offsets):
 
 
 def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
-                              master_seed: int, workers: int = 1,
-                              n_boot: int = BOOTSTRAP_DEFAULT) -> MomentCurve:
+                              master_seed: int, workers: int = 1) -> MomentCurve:
     """E[|u(x) - u^z(x)|^2]^(1/2) against the resampled-site distance |z - x|."""
     offsets = [int(o) for o in z_offsets]
     zc = setup.L // 2
@@ -326,6 +320,6 @@ def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
         return np.sqrt(np.mean(block, axis=0))
 
     values = stat(sq)
-    ci = _bootstrap_ci(sq, stat, seed=master_seed ^ 0xD17, n_boot=n_boot)
+    ci = _bootstrap_ci(sq, stat, seed=master_seed ^ 0xD17)
     return MomentCurve(distances=np.abs(np.asarray(offsets, dtype=float)),
                        values=values, ci=ci, p=2.0)

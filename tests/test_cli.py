@@ -1,5 +1,6 @@
 import json
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,16 @@ class TestEverySubcommand:
         ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 1.0]}),
         ("green-decay", "law", {"kind": "uniform01", "q": 0.3}),
         ("green-decay", "law", {"kind": "bernoulli", "q": 0.3, "values": [5]}),
+        # JSON's Infinity and NaN, and an int past the float range, are not finite floats
+        ("green-decay", "lambda", float("inf")),
+        ("green-decay", "eta", float("inf")),
+        ("green-decay", "r_max", float("inf")),
+        ("green-decay", "p", float("inf")),
+        ("green-decay", "tol", float("nan")),
+        pytest.param("green-decay", "lambda", 10 ** 400, id="green-decay-lambda-10**400"),
+        ("lambda-scaling", "lambdas", [1.0, float("inf")]),
+        ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 0.5, 1.0],
+                                "probs": [0.5, 0.5, float("nan")]}),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
@@ -274,6 +285,26 @@ class TestOutputDirectory:
         assert sorted(manifest["files"]) == ["curve_lambda_2.csv", "fits.csv", "summary.txt"]
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_no_subcritical_scale_exits_2(self, tmp_path, capsys):
+        # P[w >= gamma] = 2^-53: closed edges stay supercritical up to k = 16
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "c.json", {"d": 1, "L": 65, "law": {"kind": "uniform01"},
+                                             "gamma": 0.9999999999999999, "n_samples": 1})
+        assert run("cluster-tail", cfg, output_dir=out) == 2
+        assert "no k <= 16 achieves subcritical closed edges" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_write_error_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def deny(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "mkdir", deny)
+        cfg = write_cfg(tmp_path, "c.json", {})
+        argv = ["selftest", "--config", str(cfg), "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno 13] Permission denied")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("output", ["afile", "afile/sub"])
     def test_output_path_through_a_file_exits_2(self, tmp_path, output):

@@ -50,7 +50,6 @@ class TestLawValidation:
         law = discrete_atoms([0.0, 0.3, 1.0], [0.2, 0.3, 0.5])
         assert law.prob_lt(0.3) == pytest.approx(0.2)
         assert law.prob_ge(0.3) == pytest.approx(0.8)
-        assert law.mean() == pytest.approx(0.3 * 0.3 + 1.0 * 0.5)
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ from landscape_lab.disorder import (bernoulli, default_bump, assemble_potential,
                                     sample_omega)
 from landscape_lab.errors import ConfigurationError
 from landscape_lab.green import (agmon_inequality_check, all_cell_masses,
-                                 cube_mass, delta_rhs, green_column,
+                                 delta_rhs, green_column,
                                  massive_domination_check, massive_reference,
                                  rank_one_identity_check)
 from landscape_lab.landscape import solve_landscape
@@ -99,7 +99,7 @@ class TestCubeMass:
         G = green_column(H, grid.center_node, tol=1e-10)
         const = ScalarField.constant(grid, 3.0)
         G_const = type(G)(source=G.source, field=const, spec=H, tol=G.tol)
-        assert cube_mass(G_const, (1, 2)) == pytest.approx(3.0)
+        assert all_cell_masses(G_const)[1, 2] == pytest.approx(3.0)
 
     def test_partition_additivity(self):
         _, H = disorder_spec(L=8, seed=5)
@@ -119,8 +119,9 @@ class TestCubeMass:
     def test_cell_out_of_range(self):
         _, H = disorder_spec(L=8)
         G = green_column(H, H.grid.center_node, tol=1e-8)
+        assert all_cell_masses(G).shape == (8,)
         with pytest.raises(IndexError):
-            cube_mass(G, (8,))
+            H.grid.cell_slices((8,))
 
 
 class TestRankOneIdentity:

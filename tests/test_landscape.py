@@ -5,11 +5,9 @@ from conftest import omega_from_values
 from landscape_lab.disorder import (bernoulli, default_bump,
                                     assemble_potential, sample_omega)
 from landscape_lab.errors import ConfigurationError
-from landscape_lab.landscape import (cell_integrals, cell_maxima,
-                                     derived_fields, energy_estimate_check,
-                                     eta_convergence_study, interior_cells,
-                                     landscape_moments, solve_landscape)
-from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField,
+from landscape_lab.landscape import (derived_fields, energy_estimate_check,
+                                     eta_convergence_study, solve_landscape)
+from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce,
                                    dense_solve_oracle)
 
 LAW = bernoulli(0.5)
@@ -76,54 +74,11 @@ class TestCellReductions:
         grid = Grid(d=2, L=4, m=3)
         rng = np.random.default_rng(0)
         v = rng.uniform(size=grid.shape)
-        mx = cell_maxima(v, grid)
-        integ = cell_integrals(v, grid)
+        mx = cell_reduce(v, grid, np.maximum)
+        integ = cell_reduce(v, grid, np.add) * grid.h ** 2
         sl = grid.cell_slices((2, 1))
         assert mx[2, 1] == v[sl].max()
         assert integ[2, 1] == pytest.approx(v[sl].sum() * grid.h ** 2)
-
-    def test_interior_cells_margin(self):
-        grid = Grid(d=2, L=8, m=1)
-        cells = interior_cells(grid, 2)
-        assert len(cells) == 16
-        assert all(2 <= c < 6 for cell in cells for c in cell)
-        with pytest.raises(ConfigurationError):
-            interior_cells(grid, 4)
-
-
-class TestLandscapeMoments:
-    def _samples(self, lam, eta, n, L=16, bc="dirichlet"):
-        out = []
-        for i in range(n):
-            H = disorder_spec(L=L, lam=lam, eta=eta, seed=5, sample=i, bc=bc)
-            out.append(solve_landscape(H, tol=1e-9))
-        return out
-
-    def test_deterministic_mass_only_moment(self):
-        samples = self._samples(0.0, 0.1, 30, bc="periodic")
-        est, ci = landscape_moments(samples, 2.0)
-        assert est == pytest.approx(10.0, rel=1e-7)
-        assert ci <= 1e-6
-
-    def test_moment_ordering_in_p(self):
-        samples = self._samples(1.0, 1e-3, 30)
-        e1, _ = landscape_moments(samples, 1.0)
-        e4, _ = landscape_moments(samples, 4.0)
-        assert e1 <= e4 + 1e-12
-
-    def test_eta_robustness_of_the_estimate(self):
-        a = self._samples(1.0, 1e-3, 30, L=32)
-        b = [solve_landscape(
-                HamiltonianSpec(grid=s.spec.grid, potential=s.spec.potential,
-                                lam=1.0, eta=1e-4), tol=1e-9) for s in a]
-        ea, cia = landscape_moments(a, 1.0)
-        eb, cib = landscape_moments(b, 1.0)
-        assert abs(ea - eb) <= 2 * (cia + cib) + 0.05 * ea
-
-    def test_sample_count_guard(self):
-        samples = self._samples(0.0, 0.1, 5, bc="periodic")
-        with pytest.raises(ConfigurationError):
-            landscape_moments(samples, 1.0)
 
 
 class TestEtaConvergence:
