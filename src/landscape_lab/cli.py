@@ -6,11 +6,13 @@ its range rule.  Validation rejects unknown keys, wrong types, non-finite
 floats (also in lists and law fields) and values out of range (n_samples,
 workers, k >= 1; tol, p, lambdas > 0; lambda, eta, etas, sample_index >= 0;
 0 <= margin < L/2; r_max > r_min; ratio_hi >= ratio_lo; diam_max >=
-diam_min; rank-one-check's offsets inside the box; no file at or above
-output_dir), also when the --seed/--workers/--output flags set them, and
-fills in every default, so runners read ``cfg[key]`` only.
-Samples run through ``stats._pool_map``: any worker count gives the same
-bytes, and a failed solve skips its sample (more than 5 % skipped exits 3).
+diam_min; rank-one-check's offsets inside the box; percolation d in {1, 2,
+3}; percolation and anchor-1d boxes of L**d <= 2^24 sites; no file at or
+above output_dir), also when the --seed/--workers/--output flags set them,
+and fills in every default, so runners read ``cfg[key]`` only.  Samples run
+through ``stats._pool_map`` on min(workers, n_samples, cpu count) processes:
+any worker count gives the same bytes, and a failed solve skips its sample
+(more than 5 % skipped exits 3).
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
 ``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
 manifest.json with the effective config (fed back as a config, it reproduces
@@ -43,8 +45,8 @@ from .green import (agmon_inequality_check, all_cell_masses, green_column,
                     massive_domination_check, rank_one_identity_check)
 from .landscape import (derived_fields, energy_estimate_check,
                         eta_convergence_study, solve_landscape)
-from .lattice import (Grid, HamiltonianSpec, ScalarField, apply_hamiltonian,
-                      cg_solve, dense_solve_oracle)
+from .lattice import (_MAX_NODES, Grid, HamiltonianSpec, ScalarField,
+                      apply_hamiltonian, cg_solve, dense_solve_oracle)
 from .percolation import (anchoring_experiment_1d, choose_k, cluster_analysis,
                           coarse_grain, kesten_tail_experiment)
 from .stats import (ExperimentSetup, _pool_map, covariance_suite,
@@ -120,6 +122,12 @@ _K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg[
          _at_least(1))
 _ABOVE_R_MIN = ("> r_min", lambda v, cfg: v > cfg["r_min"])
 _FIT_WINDOW = {"r_min": Key(float, 5.0), "r_max": Key(float, 40.0, _ABOVE_R_MIN)}
+# the percolation site box; anchor-1d has no d (its box is 1-d), and L**d is
+# not evaluated when d is out of range
+_LATTICE = {"d": Key(int, rule=("in {1, 2, 3}", lambda v, cfg: v in (1, 2, 3))),
+            "L": Key(int, rule=(f"such that L**d <= {_MAX_NODES}",
+                                lambda v, cfg: cfg.get("d", 1) not in (1, 2, 3)
+                                or v ** cfg.get("d", 1) <= _MAX_NODES))}
 
 
 def _operator(*without):
@@ -158,14 +166,14 @@ TABLES = {name: {**_BASE, **keys} for name, keys in {
         "x_offset": Key(int, -3, ("inside the box", lambda v, cfg: 0 <= (
             (cfg["L"] // 2 + v) * cfg["m"] + cfg["m"] // 2) < cfg["L"] * cfg["m"])),
         "max_rel_error": Key(float, 1e-6)},
-    "fpp-kesten": {"d": Key(int), "L": Key(int), "law": Key(dict),
+    "fpp-kesten": {**_LATTICE, "law": Key(dict),
                    "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
                    "c_probe": Key(float), "n_samples": _N_SAMPLES},
-    "cluster-tail": {"d": Key(int), "L": Key(int), "law": Key(dict),
+    "cluster-tail": {**_LATTICE, "law": Key(dict),
                      "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
                      "diam_min": Key(int, 2),
                      "diam_max": Key(int, 10, _not_below("diam_min"))},
-    "anchor-1d": {"L": Key(int), "law": Key(dict), "gamma": _UPPER_QUANTILE,
+    "anchor-1d": {"L": _LATTICE["L"], "law": Key(dict), "gamma": _UPPER_QUANTILE,
                   "n_samples": _N_SAMPLES},
     "selftest": {},
 }.items()}
@@ -237,13 +245,10 @@ def _run_solve_landscape(cfg, tables):
     sol = solve_landscape(H, tol=setup.tol)
     der = derived_fields(sol)
     grid = H.grid
-    coords = grid.axis_coords
-    rows = []
-    for flat, val in enumerate(sol.u.values.ravel()):
-        node = np.unravel_index(flat, grid.shape)
-        rows.append([flat] + [coords[i] for i in node]
-                    + [val, der["inv_u"].values[node]])
-    tables["u.csv"] = (["node"] + [f"x{i}" for i in range(grid.d)] + ["u", "inv_u"], rows)
+    xs = grid.axis_coords[np.indices(grid.shape).reshape(grid.d, -1)]   # per node, C order
+    tables["u.csv"] = (["node"] + [f"x{i}" for i in range(grid.d)] + ["u", "inv_u"],
+                       zip(range(grid.n_nodes), *xs, sol.u.values.ravel(),
+                           der["inv_u"].values.ravel()))
     tables["sup_cells.csv"] = (["cell", "sup_u"],
                                [[i, v] for i, v in enumerate(sol.sup_per_cell.ravel())])
     return True, {"min_u": float(sol.u.values.min()),
@@ -429,9 +434,9 @@ def _run_selftest(cfg, tables):
     per = Grid(d=1, L=8, m=20, bc="periodic")
     Hp = HamiltonianSpec(grid=per, potential=ScalarField.constant(per, 0.0),
                          lam=0.0, eta=0.5)
-    out_f = apply_hamiltonian(Hp, ScalarField.constant(per, 2.0))
-    checks.append(["stencil_constants", float(np.abs(out_f.values - 1.0).max()),
-                   bool(np.allclose(out_f.values, 1.0))])
+    out = apply_hamiltonian(Hp, np.full(per.shape, 2.0))
+    checks.append(["stencil_constants", float(np.abs(out - 1.0).max()),
+                   bool(np.allclose(out, 1.0))])
 
     sol = solve_landscape(H, tol=1e-11)
     checks.append(["landscape_positive", float(sol.u.values.min()),

@@ -178,7 +178,7 @@ class BumpProfile:
     """Radially symmetric smooth bump, support strictly inside radius 1/10:
     the canonical mollifier, normalized to 1 at the origin."""
 
-    radius: float = 0.1
+    radius = 0.1   # a class constant, not a field
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         s = np.asarray(r, dtype=float) / self.radius
@@ -210,9 +210,6 @@ class OmegaField:
     def d(self) -> int:
         return len(self.box)
 
-    def site_linear_index(self, z: tuple) -> int:
-        return int(np.ravel_multi_index(z, self.box))
-
 
 def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> OmegaField:
     """Draw the whole field; deterministic and site-keyed in all inputs."""
@@ -232,7 +229,7 @@ def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     z = tuple(int(c) for c in np.atleast_1d(z))
     if len(z) != omega.d or any(not (0 <= c < b) for c, b in zip(z, omega.box)):
         raise IndexError(f"site {z} outside box {omega.box}")
-    site = np.asarray([omega.site_linear_index(z)], dtype=np.uint64)
+    site = np.asarray([np.ravel_multi_index(z, omega.box)], dtype=np.uint64)
     # stream 0 is the original field; odd streams are reserved for resampling
     stream = (2 * (resample_seed & _MASK64) + 1) & _MASK64
     u = _site_uniforms(omega.master_seed, omega.sample_index, stream, site)
@@ -260,15 +257,8 @@ def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarFie
     coords = grid.axis_coords  # shape (n,)
     nearest = np.clip(np.rint(coords).astype(int), 0, grid.L - 1)
     offset = coords - nearest
-    # squared distance to the nearest site, accumulated axis by axis
-    shape = grid.shape
-    dist2 = np.zeros(shape)
-    idx = []
-    for ax in range(grid.d):
-        sl = [None] * grid.d
-        sl[ax] = slice(None)
-        dist2 = dist2 + (offset[tuple(sl)] ** 2)
-        idx.append(nearest[tuple(sl)] + np.zeros(shape, dtype=int))
-    amp = omega.values[tuple(idx)]
+    # squared distance to the nearest site, summed axis by axis over an open mesh
+    dist2 = sum(o ** 2 for o in np.ix_(*[offset] * grid.d))
+    amp = omega.values[np.ix_(*[nearest] * grid.d)]
     v = amp * bump.evaluate(np.sqrt(dist2))
     return ScalarField(grid=grid, values=v)

@@ -22,11 +22,7 @@ class SingularOperatorError(LandscapeLabError):
 
 
 class SolverNonConvergenceError(LandscapeLabError):
-    """CG ran out of iterations; carries the residual history."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = list(residual_history or [])
+    """CG ran out of iterations or stalled above its tolerance."""
 
 
 class PositivityError(LandscapeLabError):

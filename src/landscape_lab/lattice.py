@@ -72,14 +72,6 @@ class Grid:
         z = self.L // 2
         return (z * self.m + self.m // 2,) * self.d
 
-    def cell_slices(self, cell: tuple) -> tuple:
-        if len(cell) != self.d or any(not (0 <= c < self.L) for c in cell):
-            raise IndexError(f"cell {cell} out of range for L={self.L}")
-        return tuple(slice(c * self.m, (c + 1) * self.m) for c in cell)
-
-    def node_position(self, node: tuple) -> np.ndarray:
-        return np.asarray([-0.5 + i / self.m for i in node])
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -143,15 +135,10 @@ def _neighbor_sum(values: np.ndarray, bc: str) -> np.ndarray:
     return out
 
 
-def apply_hamiltonian(H: HamiltonianSpec, f: ScalarField) -> ScalarField:
-    """(2d+1)-point stencil; Dirichlet reads zeros outside, periodic wraps."""
-    if f.grid != H.grid:
-        raise GridMismatchError("field and Hamiltonian grids differ")
-    return ScalarField(grid=H.grid, values=_apply_raw(H, f.values, H.diagonal()))
-
-
-def _apply_raw(H: HamiltonianSpec, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    return diag * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
+def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
+    """H v on node values: (2d+1)-point stencil; Dirichlet reads zeros outside,
+    periodic wraps."""
+    return H.diagonal() * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
 
 
 def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
@@ -162,15 +149,14 @@ def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
     return blocks
 
 
-def _preconditioner(H: HamiltonianSpec, diag: np.ndarray):
+def _preconditioner(H: HamiltonianSpec):
     """r -> M^-1 r.  1-d Dirichlet: the operator's banded Cholesky factor.  Else
     M = -Lap_h + eta + lambda*mean(V) by a real FFT (periodic) or a DST-II
     (Dirichlet, ghost node half a step out: SPD, inexact); no stored factor.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
-        band = np.empty((2, diag.size))   # upper form: superdiagonal, diagonal
-        band[0] = -float(H.grid.m ** 2)
-        band[1] = diag
+        # upper form: superdiagonal, diagonal
+        band = np.stack([np.full(H.grid.n_nodes, -float(H.grid.m ** 2)), H.diagonal()])
         try:
             factor = sla.cholesky_banded(band)
         except sla.LinAlgError as exc:
@@ -208,38 +194,36 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return ScalarField(grid=H.grid, values=np.zeros_like(b))
-    diag = H.diagonal()
-    precond = _preconditioner(H, diag)
+    precond = _preconditioner(H)
     x = np.zeros_like(b)
     r = b.copy()
-    history = [1.0]
-    checked, p = np.inf, None   # p None: steepest-descent (re)start
-    for _ in range(max_iter):
+    done, checked, p = 0, np.inf, None   # p None: steepest-descent (re)start
+    while done < max_iter:
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
-        Ap = _apply_raw(H, p, diag)
+        Ap = apply_hamiltonian(H, p)
         pAp = float(np.vdot(p, Ap))
         if not pAp > 0.0:
             break
+        done += 1
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         relres = float(np.linalg.norm(r)) / bnorm
-        history.append(relres)
         if relres <= tol:   # guard against recurrence drift
-            r = b - _apply_raw(H, x, diag)
+            r = b - apply_hamiltonian(H, x)
             relres = float(np.linalg.norm(r)) / bnorm
             if relres <= tol:
                 return ScalarField(grid=H.grid, values=x)
             if relres >= checked:
                 break
             checked, p = relres, None
-    relres = float(np.linalg.norm(b - _apply_raw(H, x, diag))) / bnorm
+    relres = float(np.linalg.norm(b - apply_hamiltonian(H, x))) / bnorm
     raise SolverNonConvergenceError(
-        f"CG stopped above tol={tol} after {len(history) - 1} of {max_iter} "
-        f"iterations (true relres={relres:.3e})", residual_history=history)
+        f"CG stopped above tol={tol} after {done} of {max_iter} "
+        f"iterations (true relres={relres:.3e})")
 
 
 def _assemble_sparse(H: HamiltonianSpec) -> sp.csr_matrix:

@@ -6,7 +6,7 @@ edge cube is a product of intervals, so its max is a separable window max
 taken only at the edge centers.  The chemical distance counts open edges
 along the cheapest path: closed (weight 0) edges are contracted into
 components, then a breadth-first search runs over the open edges between
-them.  Clusters and components come from scipy.sparse.csgraph.
+them.  Connected components come from scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ class CoarseGraph:
 
 @dataclass(frozen=True)
 class ChemicalDistanceMap:
-    origin: tuple
     dist: np.ndarray    # shape (nc,)*d, integer passage times
 
 
 @dataclass(frozen=True)
 class ClusterReport:
-    labels: np.ndarray                 # open-cluster label per vertex, shape (nc,)*d
-    largest_fraction: float
     closed_component_diameters: list   # Chebyshev diameters in coarse units
 
 
@@ -132,16 +129,13 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cluster_analysis(g: CoarseGraph) -> ClusterReport:
-    """Open clusters, and the Chebyshev diameters of closed components.
+    """The Chebyshev diameters of closed components.
 
     A vertex is closed (isolated) when no open edge touches it; closed
     components are listed in the C order of their first vertex.
     """
     shape = (g.nc,) * g.d
     lo, hi, open_ = _edge_list(g)
-    labels = _components(g.n_vertices, lo[open_], hi[open_])
-    largest = float(np.bincount(labels).max()) / g.n_vertices
-
     closed = np.ones(g.n_vertices, dtype=bool)
     closed[lo[open_]] = False
     closed[hi[open_]] = False
@@ -156,8 +150,7 @@ def cluster_analysis(g: CoarseGraph) -> ClusterReport:
         np.maximum.at(top, comp, coord)
         np.minimum.at(bottom, comp, coord)
         diam = np.maximum(diam, top - bottom)
-    return ClusterReport(labels=labels.reshape(shape), largest_fraction=largest,
-                         closed_component_diameters=[int(x) for x in diam])
+    return ClusterReport(closed_component_diameters=[int(x) for x in diam])
 
 
 def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
@@ -178,8 +171,7 @@ def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
         shape=(n_comp, n_comp))
     hops = shortest_path(quotient, directed=False, unweighted=True,
                          indices=comp[np.ravel_multi_index(origin, shape)])
-    return ChemicalDistanceMap(origin=origin,
-                               dist=hops[comp].astype(int).reshape(shape))
+    return ChemicalDistanceMap(dist=hops[comp].astype(int).reshape(shape))
 
 
 def wilson_interval(successes: int, n: int):
@@ -214,8 +206,8 @@ def kesten_tail_experiment(law: DisorderLaw, d: int, L: int, gamma: float,
                            master_seed: int, k: int, workers: int = 1):
     """Empirical P[min chemical distance to the radius-R shell <= c_probe*R]."""
     radii = [int(R) for R in radii]
-    if sorted(radii) != radii:
-        raise ConfigurationError("radii must be increasing")
+    if sorted(radii) != radii or radii[0] < 1:
+        raise ConfigurationError("radii must be increasing and >= 1")
     if not (0.0 < c_probe <= 1.0):
         raise ConfigurationError("c_probe must lie in (0, 1]")
     nc = _coarse_side(L, k)

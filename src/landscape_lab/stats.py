@@ -7,6 +7,7 @@ are folded in sample-index order so worker counts never change the output.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -41,7 +42,6 @@ class MomentCurve:
     distances: np.ndarray
     values: np.ndarray
     ci: np.ndarray
-    p: float
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,11 @@ def _attempt(fn, i, args):
 def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
     """The one sample loop: {i: fn(i, *args)} over the samples that solved.
 
-    Serial at workers <= 1, else on a process pool; kept in index order
-    either way.  A solver failure skips its sample with a logged warning,
+    Serial or on a pool of min(workers, n_samples, cpu count) processes, in
+    index order.  A solver failure skips its sample with a logged warning,
     more than 5 % skipped raises ExperimentError, and any other error is raised.
     """
+    workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [_attempt(fn, i, args) for i in range(n_samples)]
     else:
@@ -159,8 +160,7 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
 
     values = stat(S)
     ci = _bootstrap_ci(S, stat, seed=master_seed ^ 0x5EED)
-    return MomentCurve(distances=np.asarray(dists, dtype=float),
-                       values=values, ci=ci, p=p)
+    return MomentCurve(distances=np.asarray(dists, dtype=float), values=values, ci=ci)
 
 
 def fit_exponential_decay(curve: MomentCurve, r_min: float, r_max: float) -> DecayFit:
@@ -322,4 +322,4 @@ def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
     values = stat(sq)
     ci = _bootstrap_ci(sq, stat, seed=master_seed ^ 0xD17)
     return MomentCurve(distances=np.abs(np.asarray(offsets, dtype=float)),
-                       values=values, ci=ci, p=2.0)
+                       values=values, ci=ci)

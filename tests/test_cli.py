@@ -9,6 +9,7 @@ from landscape_lab import cli, stats
 from landscape_lab.cli import TABLES, _RUNNERS, _setup, run, validate_config, write_csv
 from landscape_lab.disorder import law_from_dict
 from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
+from landscape_lab.landscape import solve_landscape
 from landscape_lab.percolation import choose_k
 
 LAW = {"kind": "bernoulli", "q": 0.5}
@@ -160,6 +161,22 @@ class TestEverySubcommand:
         # a valid config ends in any documented code but a validation error
         assert run(subcommand, cfg, output_dir=tmp_path / "out") in (0, 3, 4, 5)
 
+    def test_solve_landscape_2d_table(self, tmp_path):
+        given = dict(TINY_1D, d=2, L=4, m=20)
+        out = tmp_path / "out"
+        assert run("solve-landscape", write_cfg(tmp_path, "c.json", given), output_dir=out) == 0
+        cfg = validate_config("solve-landscape", given)
+        H = _setup(cfg).hamiltonian(cfg["master_seed"], cfg["sample_index"])
+        u = solve_landscape(H, tol=cfg["tol"]).u.values
+        lines = (out / "u.csv").read_text().splitlines()
+        assert lines[0] == "node,x0,x1,u,inv_u"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(H.grid.n_nodes))
+        coords = H.grid.axis_coords
+        for flat, row in enumerate(rows):   # C order: the last axis runs fastest
+            i, j = np.unravel_index(flat, H.grid.shape)
+            assert [float(x) for x in row[1:4]] == [coords[i], coords[j], u[i, j]]
+
     def test_z_offset_outside_box_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS["vertical-derivative"], z_offsets=[1, 9]))
@@ -211,11 +228,21 @@ class TestEverySubcommand:
         ("lambda-scaling", "lambdas", [1.0, float("inf")]),
         ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 0.5, 1.0],
                                 "probs": [0.5, 0.5, float("nan")]}),
+        # the percolation and anchor boxes: d in {1, 2, 3}, at most 2**24 sites
+        ("fpp-kesten", "d", 0),
+        ("fpp-kesten", "d", -1),
+        ("fpp-kesten", "d", 10),
+        ("cluster-tail", "d", 10),
+        ("cluster-tail", "d", 10 ** 9),         # L**d must not be evaluated
+        ("fpp-kesten", "L", (1 << 24) + 1),
+        ("cluster-tail", "L", 4097),            # 4097**2 > 2**24
+        ("anchor-1d", "L", 10 ** 11),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         cfg = write_cfg(tmp_path, "c.json",
                         dict(SMOKE_CONFIGS[subcommand], **{key: value}))
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, window", [
         ("green-decay", {"r_min": 40.0, "r_max": 5.0}),
@@ -265,6 +292,7 @@ class TestOutputDirectory:
         ("covariance", {"observable": "v"}, 2),
         ("eta-convergence", {"etas": [1e-2, 1e-3]}, 2),
         ("fpp-kesten", {"radii": [2, 1]}, 2),
+        ("fpp-kesten", {"radii": [-1, 1]}, 2),
     ])
     def test_absent_or_complete(self, tmp_path, subcommand, change, code):
         out = tmp_path / "out"

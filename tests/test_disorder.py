@@ -157,7 +157,7 @@ class TestAssemblePotential:
         rng = np.random.default_rng(0)
         for _ in range(50):
             node = tuple(rng.integers(0, grid.n_per_side, size=2))
-            x = grid.node_position(node)
+            x = -0.5 + np.asarray(node) / grid.m
             j = np.clip(np.rint(x).astype(int), 0, 5)
             expect = omega.values[tuple(j)] * bump.evaluate(
                 np.sqrt(((x - j) ** 2).sum()))

@@ -1,6 +1,7 @@
 """Lints on the package source (no linter is assumed): every module-level
-import is used, and every module-level function and class is reached from
-the package itself, the acceptance suite or the benchmark's traced spans."""
+import is used, and every module-level function and class, and every class
+member, is reached from the package itself, the acceptance suite or the
+benchmark's traced spans."""
 
 import ast
 from pathlib import Path
@@ -41,10 +42,44 @@ def referenced_names(source: str) -> set:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def unreached(source: str, reached: set) -> list:
-    """source's module-level functions and classes whose names reached lacks."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached]
+def read_attributes(source: str) -> set:
+    """Every name the code reads as an attribute (x.name, not x.name = ...)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def keyword_names(source: str) -> set:
+    """Every keyword argument name the code passes, as in f(name=...)."""
+    return {node.arg for node in ast.walk(ast.parse(source)) if isinstance(node, ast.keyword)}
+
+
+def class_members(cls: ast.ClassDef) -> list:
+    """A class's methods and properties (no dunders), its annotated fields, and
+    the attributes its __init__ assigns on self."""
+    members = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            members += [target.attr for stmt in ast.walk(node) if isinstance(stmt, ast.Assign)
+                        for target in stmt.targets if isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name) and target.value.id == "self"]
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+            members.append(node.name)
+    return members
+
+
+def unreached(source: str, reached: set, attributes: set) -> list:
+    """source's module-level functions and classes whose names reached lacks,
+    and its class members (as Class.member) whose names attributes lacks."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached:
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{member}" for member in class_members(node)
+                      if member not in attributes]
+    return found
 
 
 def traced_names(source: str) -> set:
@@ -59,14 +94,27 @@ def test_checker_flags_an_unreached_member():
               "    def used(self):\n        return helper()\n\ndef helper():\n    pass\n\n"
               "def only_tested():\n    return np.ones(2)\n")
     reached = referenced_names(source) | referenced_names("x = mod.Kept()\n")
-    assert unreached(source, reached) == ["Dropped", "only_tested"]
+    assert unreached(source, reached, read_attributes(source)) == [
+        "Dropped", "Dropped.used", "only_tested"]
     assert traced_names("TRACED = (('m', 'f'), ('n', 'g'))\nOTHER = 1\n") == {"f", "g"}
+    source = ("class Box:\n    size: int\n    label: str\n    LIMIT = 3\n\n"
+              "    def __init__(self):\n        self.seen = 1\n        self.history = []\n\n"
+              "    @property\n    def area(self):\n        return self.size ** 2\n\n"
+              "    def only_tested(self):\n        self.history = None\n")
+    attributes = (read_attributes(source) | read_attributes("print(box.seen)\n")
+                  | keyword_names("Box(label='x')\n"))
+    assert unreached(source, {"Box"}, attributes) == ["Box.history", "Box.area",
+                                                      "Box.only_tested"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_member_is_reached_outside_unit_tests(module):
-    reached = set().union(
-        *(referenced_names(p.read_text()) for p in PACKAGE.glob("*.py")),
-        referenced_names((ROOT / "tests" / "test_acceptance.py").read_text()),
-        traced_names((ROOT / "perfbench" / "spans.py").read_text()))
-    assert unreached((PACKAGE / module).read_text(), reached) == []
+    """A member counts as reached when src/, the acceptance suite or the traced
+    spans read it; a class member when they read it as an attribute, or the
+    acceptance suite passes it as a keyword."""
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    spans = (ROOT / "perfbench" / "spans.py").read_text()
+    reads = [p.read_text() for p in PACKAGE.glob("*.py")] + [acceptance, spans]
+    reached = set().union(*map(referenced_names, reads), traced_names(spans))
+    attributes = set().union(*map(read_attributes, reads), keyword_names(acceptance))
+    assert unreached((PACKAGE / module).read_text(), reached, attributes) == []

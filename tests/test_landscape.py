@@ -48,9 +48,9 @@ class TestSolveLandscape:
         sol = solve_landscape(H, tol=1e-10)
         assert sol.u.values.min() > 0.0
         assert sol.sup_per_cell.shape == (16,)
+        m = H.grid.m
         for z in range(16):
-            sl = H.grid.cell_slices((z,))
-            assert sol.sup_per_cell[z] == sol.u.values[sl].max()
+            assert sol.sup_per_cell[z] == sol.u.values[z * m:(z + 1) * m].max()
 
     def test_monotone_in_lambda_and_eta(self):
         H1 = disorder_spec(L=16, lam=1.0, eta=1e-2, seed=3)
@@ -76,7 +76,7 @@ class TestCellReductions:
         v = rng.uniform(size=grid.shape)
         mx = cell_reduce(v, grid, np.maximum)
         integ = cell_reduce(v, grid, np.add) * grid.h ** 2
-        sl = grid.cell_slices((2, 1))
+        sl = (slice(6, 9), slice(3, 6))   # cell (2, 1): m = 3 nodes per axis
         assert mx[2, 1] == v[sl].max()
         assert integ[2, 1] == pytest.approx(v[sl].sum() * grid.h ** 2)
 

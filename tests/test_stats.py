@@ -27,7 +27,7 @@ def synthetic_curve(rate, pref, n=20, noise=0.0, seed=0):
     v = pref * np.exp(-rate * r)
     if noise:
         v = v * (1.0 + noise * np.random.default_rng(seed).normal(size=n))
-    return MomentCurve(distances=r, values=v, ci=np.zeros(n), p=1.0)
+    return MomentCurve(distances=r, values=v, ci=np.zeros(n))
 
 
 def square_unless(i, failing, invalid=frozenset()):
@@ -47,6 +47,32 @@ class TestSampleLoop:
         with pytest.raises(ExperimentError, match="3/40"):
             stats._pool_map(square_unless, 40, workers, {1, 2, 3})
 
+    def test_workers_capped_by_samples_and_cores(self, monkeypatch):
+        started = []
+
+        class SerialPool:   # records the pool size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+        serial = stats._pool_map(square_unless, 40, 1, set())
+        assert stats._pool_map(square_unless, 40, 100_000, set()) == serial
+        assert stats._pool_map(square_unless, 3, 100_000, set()) == {0: 0, 1: 1, 2: 4}
+        assert started == [4, 3]
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: None)   # unknown: serial
+        assert stats._pool_map(square_unless, 40, 100_000, set()) == serial
+        assert started == [4, 3]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_errors_are_raised(self, workers):
         with pytest.raises(ConfigurationError, match="invalid"):
@@ -62,7 +88,7 @@ class TestFitExponentialDecay:
 
     def test_constant_data_gives_zero_rate(self):
         curve = MomentCurve(distances=np.arange(1.0, 11.0),
-                            values=np.full(10, 0.7), ci=np.zeros(10), p=1.0)
+                            values=np.full(10, 0.7), ci=np.zeros(10))
         fit = fit_exponential_decay(curve, 1.0, 10.0)
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
 
@@ -131,7 +157,6 @@ class TestGreenDecayExperiment:
         curve = green_decay_experiment(setup, 2.0, 10, 7)
         assert np.all(np.diff(curve.distances) > 0)
         assert np.all(curve.values >= 0.0)
-        assert curve.p == 2.0
 
     def test_ci_shrinks_with_sample_size(self):
         setup = setup_1d()
