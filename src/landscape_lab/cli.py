@@ -1,15 +1,16 @@
 """Reproducible experiment runner.
 
 Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
-per subcommand, each key's type, its default (or that it is required) and
-its range rule.  Validation rejects unknown keys, wrong types, non-finite
-floats (also in lists and law fields) and values out of range (n_samples,
-workers, k >= 1; tol, p, lambdas > 0; lambda, eta, etas, sample_index >= 0;
-0 <= margin < L/2; r_max > r_min; ratio_hi >= ratio_lo; diam_max >=
-diam_min; rank-one-check's offsets inside the box; percolation d in {1, 2,
-3}; percolation and anchor-1d boxes of L**d <= 2^24 sites; no file at or
-above output_dir), also when the --seed/--workers/--output flags set them,
-and fills in every default, so runners read ``cfg[key]`` only.  Samples run
+per subcommand, its runner and each key's type, its default (or that it is
+required) and its range rule.  Validation rejects unknown keys, wrong types,
+non-finite floats (also in lists and law fields) and values out of range
+(n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta, etas,
+sample_index >= 0; 0 <= margin < L/2; r_max > r_min; diam_max >= diam_min;
+the rank-one offsets inside the box; percolation d in {1, 2, 3}; percolation
+and anchoring boxes of L**d <= 2^24 sites; no file at or above output_dir),
+also when the --seed/--workers/--output flags set them, and fills in every
+default, so runners read ``cfg[key]`` only; so is an operator whose diagonal
+overflows.  Verdict thresholds are constants in the runners.  Samples run
 through ``stats._pool_map`` on min(workers, n_samples, cpu count) processes:
 any worker count gives the same bytes, and a failed solve skips its sample
 (more than 5 % skipped exits 3).
@@ -46,7 +47,7 @@ from .green import (agmon_inequality_check, all_cell_masses, green_column,
 from .landscape import (derived_fields, energy_estimate_check,
                         eta_convergence_study, solve_landscape)
 from .lattice import (_MAX_NODES, Grid, HamiltonianSpec, ScalarField,
-                      apply_hamiltonian, cg_solve, dense_solve_oracle)
+                      apply_hamiltonian, cell_reduce, cg_solve, dense_solve_oracle)
 from .percolation import (anchoring_experiment_1d, choose_k, cluster_analysis,
                           coarse_grain, kesten_tail_experiment)
 from .stats import (ExperimentSetup, _pool_map, covariance_suite,
@@ -95,10 +96,6 @@ def _at_least(low):
     return (f">= {low}", lambda v, cfg: v >= low)
 
 
-def _not_below(key):
-    return (f">= {key}", lambda v, cfg: v >= cfg[key])
-
-
 def _no_file_on(path, cfg):
     """No file stands where the output directory or one of its parents goes."""
     return path is None or next(p for p in (Path(path), *Path(path).parents)
@@ -122,8 +119,8 @@ _K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg[
          _at_least(1))
 _ABOVE_R_MIN = ("> r_min", lambda v, cfg: v > cfg["r_min"])
 _FIT_WINDOW = {"r_min": Key(float, 5.0), "r_max": Key(float, 40.0, _ABOVE_R_MIN)}
-# the percolation site box; anchor-1d has no d (its box is 1-d), and L**d is
-# not evaluated when d is out of range
+# the percolation site box; the 1-d anchoring box has no d, and L**d is not
+# evaluated when d is out of range
 _LATTICE = {"d": Key(int, rule=("in {1, 2, 3}", lambda v, cfg: v in (1, 2, 3))),
             "L": Key(int, rule=(f"such that L**d <= {_MAX_NODES}",
                                 lambda v, cfg: cfg.get("d", 1) not in (1, 2, 3)
@@ -132,51 +129,6 @@ _LATTICE = {"d": Key(int, rule=("in {1, 2, 3}", lambda v, cfg: v in (1, 2, 3))),
 
 def _operator(*without):
     return {key: spec for key, spec in _OPERATOR.items() if key not in without}
-
-
-TABLES = {name: {**_BASE, **keys} for name, keys in {
-    "solve-landscape": {**_OPERATOR, "sample_index": Key(int, 0, _at_least(0))},
-    "green-decay": {**_OPERATOR, "p": _P, "n_samples": _N_SAMPLES, "margin": _MARGIN,
-                    **_FIT_WINDOW},
-    "lambda-scaling": {**_operator("lambda", "eta"),
-                       "lambdas": Key([float], rule=_POSITIVE), "p": _P,
-                       "n_samples": _N_SAMPLES, "margin": _MARGIN, **_FIT_WINDOW},
-    "covariance": {**_OPERATOR, "observable": Key(str), "separations": Key([int]),
-                   "n_samples": _N_SAMPLES, "margin": _MARGIN},
-    "vertical-derivative": {
-        **_OPERATOR, "z_offsets": Key([int]), "n_samples": _N_SAMPLES,
-        "r_min": Key(float, 1.0),
-        "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])),
-                     _ABOVE_R_MIN)},
-    "eta-convergence": {**_operator("eta"), "etas": Key([float], rule=_at_least(0)),
-                        "n_samples": _N_SAMPLES, "ratio_lo": Key(float, 5.0),
-                        "ratio_hi": Key(float, 20.0, _not_below("ratio_lo"))},
-    "energy-check": {**_operator("bc"), "n_samples": _N_SAMPLES},
-    "agmon-check": {
-        **_operator("bc"),
-        "mus": Key([float], lambda cfg: [0.0, 0.1 * float(np.sqrt(cfg["lambda"]))]),
-        "weight_cap": Key(float, lambda cfg: cfg["L"] / 4.0),
-        "cutoff_inner": Key(float, 1.0),
-        "cutoff_outer": Key(float, lambda cfg: cfg["L"] / 2.0 - 1.0),
-        "n_samples": _N_SAMPLES},
-    "rank-one-check": {
-        **_operator("bc"), "n_samples": _N_SAMPLES,
-        "z_offset": Key(int, 2, ("inside the box",
-                                 lambda v, cfg: 0 <= cfg["L"] // 2 + v < cfg["L"])),
-        "x_offset": Key(int, -3, ("inside the box", lambda v, cfg: 0 <= (
-            (cfg["L"] // 2 + v) * cfg["m"] + cfg["m"] // 2) < cfg["L"] * cfg["m"])),
-        "max_rel_error": Key(float, 1e-6)},
-    "fpp-kesten": {**_LATTICE, "law": Key(dict),
-                   "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
-                   "c_probe": Key(float), "n_samples": _N_SAMPLES},
-    "cluster-tail": {**_LATTICE, "law": Key(dict),
-                     "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
-                     "diam_min": Key(int, 2),
-                     "diam_max": Key(int, 10, _not_below("diam_min"))},
-    "anchor-1d": {"L": _LATTICE["L"], "law": Key(dict), "gamma": _UPPER_QUANTILE,
-                  "n_samples": _N_SAMPLES},
-    "selftest": {},
-}.items()}
 
 
 def _typed(val, want):
@@ -200,7 +152,7 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
     """The effective config: cfg checked against its table, defaults filled in."""
     if subcommand not in TABLES:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
-    table = TABLES[subcommand]
+    table = TABLES[subcommand][1]
     errors = [f"unknown key {key!r}" for key in cfg if key not in table]
     out = {}
     for key, spec in table.items():
@@ -231,7 +183,7 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
 
 
 def _setup(cfg: dict, **fixed) -> ExperimentSetup:
-    """fixed sets the fields the table lacks: lam/eta where swept, bc for energy-check."""
+    """fixed sets the fields the table lacks: lam/eta where swept, periodic bc."""
     keys = ("d", "L", "m", "bc", "lambda", "eta", "tol", "margin")
     fields = {"lam" if key == "lambda" else key: cfg[key] for key in keys if key in cfg}
     return ExperimentSetup(law=law_from_dict(cfg["law"]), **fields, **fixed)
@@ -249,8 +201,9 @@ def _run_solve_landscape(cfg, tables):
     tables["u.csv"] = (["node"] + [f"x{i}" for i in range(grid.d)] + ["u", "inv_u"],
                        zip(range(grid.n_nodes), *xs, sol.u.values.ravel(),
                            der["inv_u"].values.ravel()))
+    sup = cell_reduce(sol.u.values, grid, np.maximum)     # per unit cell
     tables["sup_cells.csv"] = (["cell", "sup_u"],
-                               [[i, v] for i, v in enumerate(sol.sup_per_cell.ravel())])
+                               [[i, v] for i, v in enumerate(sup.ravel())])
     return True, {"min_u": float(sol.u.values.min()),
                   "max_u": float(sol.u.values.max())}
 
@@ -323,7 +276,7 @@ def _run_eta_convergence(cfg, tables):
                                 for i, rows in studies.items() for r in rows])
     mean_ratio = float(np.mean([rows[0].sup_diff / rows[1].sup_diff
                                 for rows in studies.values()]))
-    lo, hi = cfg["ratio_lo"], cfg["ratio_hi"]
+    lo, hi = 5.0, 20.0   # etas a decade apart: sup_diff linear in eta gives about 10
     return lo <= mean_ratio <= hi, {"mean_ratio": mean_ratio, "corridor": [lo, hi]}
 
 
@@ -341,16 +294,18 @@ def _run_energy_check(cfg, tables):
 
 
 def _agmon_sample(i, setup, cfg):
+    """(mu, report) for mu = 0 and 0.1 sqrt(lambda): h = mu * min(|x|_oo, L/4),
+    and chi vanishes at |x|_oo <= 1 and at |x|_oo >= L/2 - 1."""
     H = setup.hamiltonian(cfg["master_seed"], i)
     G = green_column(H, H.grid.center_node, tol=setup.tol)
-    return [agmon_inequality_check(G, mu, cfg["weight_cap"], cfg["cutoff_inner"],
-                                   cfg["cutoff_outer"]) for mu in cfg["mus"]]
+    return [(mu, agmon_inequality_check(G, mu, setup.L / 4.0, 1.0, setup.L / 2.0 - 1.0))
+            for mu in (0.0, 0.1 * float(np.sqrt(setup.lam)))]
 
 
 def _run_agmon_check(cfg, tables):
     reports = _pool_map(_agmon_sample, cfg["n_samples"], cfg["workers"], _setup(cfg), cfg)
     rows = [[i, mu, rep.lhs, rep.rhs, rep.passed]
-            for i, reps in reports.items() for mu, rep in zip(cfg["mus"], reps)]
+            for i, pairs in reports.items() for mu, rep in pairs]
     tables["agmon.csv"] = (["sample", "mu", "lhs", "rhs", "passed"], rows)
     return all(row[-1] for row in rows), {"n_checks": len(rows)}
 
@@ -368,7 +323,7 @@ def _run_rank_one(cfg, tables):
     rows = [[i, rep.lhs, rep.rhs, rep.relative_error] for i, rep in reports.items()]
     tables["rank_one.csv"] = (["sample", "lhs", "rhs", "relative_error"], rows)
     worst = max([0.0] + [row[-1] for row in rows])
-    return worst <= cfg["max_rel_error"], {"max_relative_error": worst}
+    return worst <= 1e-6, {"max_relative_error": worst}
 
 
 def _run_fpp_kesten(cfg, tables):
@@ -459,21 +414,45 @@ def _run_selftest(cfg, tables):
     return all(c[2] for c in checks), {"n_checks": len(checks)}
 
 
-_RUNNERS = {
-    "solve-landscape": _run_solve_landscape,
-    "green-decay": _run_green_decay,
-    "lambda-scaling": _run_lambda_scaling,
-    "covariance": _run_covariance,
-    "vertical-derivative": _run_vertical_derivative,
-    "eta-convergence": _run_eta_convergence,
-    "energy-check": _run_energy_check,
-    "agmon-check": _run_agmon_check,
-    "rank-one-check": _run_rank_one,
-    "fpp-kesten": _run_fpp_kesten,
-    "cluster-tail": _run_cluster_tail,
-    "anchor-1d": _run_anchor_1d,
-    "selftest": _run_selftest,
-}
+# ------------------------------------------------------------------ subcommands
+
+TABLES = {name: (runner, {**_BASE, **keys}) for name, (runner, keys) in {
+    "solve-landscape": (_run_solve_landscape,
+                        {**_OPERATOR, "sample_index": Key(int, 0, _at_least(0))}),
+    "green-decay": (_run_green_decay, {**_OPERATOR, "p": _P, "n_samples": _N_SAMPLES,
+                                       "margin": _MARGIN, **_FIT_WINDOW}),
+    "lambda-scaling": (_run_lambda_scaling, {
+        **_operator("lambda", "eta"), "lambdas": Key([float], rule=_POSITIVE), "p": _P,
+        "n_samples": _N_SAMPLES, "margin": _MARGIN, **_FIT_WINDOW}),
+    "covariance": (_run_covariance, {**_OPERATOR, "observable": Key(str),
+                                     "separations": Key([int]), "n_samples": _N_SAMPLES,
+                                     "margin": _MARGIN}),
+    "vertical-derivative": (_run_vertical_derivative, {
+        **_OPERATOR, "z_offsets": Key([int]), "n_samples": _N_SAMPLES,
+        "r_min": Key(float, 1.0),
+        "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])),
+                     _ABOVE_R_MIN)}),
+    "eta-convergence": (_run_eta_convergence, {**_operator("eta"), "n_samples": _N_SAMPLES,
+                                               "etas": Key([float], rule=_at_least(0))}),
+    "energy-check": (_run_energy_check, {**_operator("bc"), "n_samples": _N_SAMPLES}),
+    "agmon-check": (_run_agmon_check, {**_operator("bc"), "n_samples": _N_SAMPLES}),
+    "rank-one-check": (_run_rank_one, {
+        **_operator("bc"), "n_samples": _N_SAMPLES,
+        "z_offset": Key(int, 2, ("inside the box",
+                                 lambda v, cfg: 0 <= cfg["L"] // 2 + v < cfg["L"])),
+        "x_offset": Key(int, -3, ("inside the box", lambda v, cfg: 0 <= (
+            (cfg["L"] // 2 + v) * cfg["m"] + cfg["m"] // 2) < cfg["L"] * cfg["m"]))}),
+    "fpp-kesten": (_run_fpp_kesten, {**_LATTICE, "law": Key(dict),
+                                     "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
+                                     "c_probe": Key(float), "n_samples": _N_SAMPLES}),
+    "cluster-tail": (_run_cluster_tail, {
+        **_LATTICE, "law": Key(dict), "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
+        "diam_min": Key(int, 2),
+        "diam_max": Key(int, 10, (">= diam_min", lambda v, cfg: v >= cfg["diam_min"]))}),
+    "anchor-1d": (_run_anchor_1d, {"L": _LATTICE["L"], "law": Key(dict),
+                                   "gamma": _UPPER_QUANTILE, "n_samples": _N_SAMPLES}),
+    "selftest": (_run_selftest, {}),
+}.items()}
 
 
 def run(subcommand: str, config_path, output_dir=None, workers=None,
@@ -490,7 +469,7 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
         cfg = validate_config(subcommand, raw)
         if cfg["output_dir"] is None:
             raise ConfigurationError("output_dir missing (config key or --output)")
-        result, details = _RUNNERS[subcommand](cfg, tables)
+        result, details = TABLES[subcommand][0](cfg, tables)
     except (ConfigurationError, LawValidationError, json.JSONDecodeError,
             FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -542,7 +521,7 @@ def main(argv=None) -> int:
         prog="landscape-lab",
         description="Monte Carlo experiments on the random landscape function")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
+    for name in TABLES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--workers", type=int, default=None)

@@ -1,8 +1,7 @@
 """The landscape solve u of -Lap u + (lam V + eta) u = 1 and its derived data.
 
-Covers the regularized solve with its per-cell maxima, the small-mass
-convergence table, the stationary energy estimate, and the derived fields
-1/u and grad log u.
+Covers the regularized solve, the small-mass convergence table, the
+stationary energy estimate, and the derived fields 1/u and grad log u.
 """
 
 from __future__ import annotations
@@ -13,16 +12,14 @@ import numpy as np
 
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
-from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cell_reduce,
-                      cg_solve, forward_gradient_sq)
+from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cg_solve,
+                      forward_gradient_sq)
 
 
 @dataclass(frozen=True)
 class LandscapeSolution:
     u: ScalarField
     spec: HamiltonianSpec
-    sup_per_cell: np.ndarray    # shape (L,)*d
-    floor: float                # 1/(lam+eta): the V == 1 periodic barrier
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,7 @@ def solve_landscape(H: HamiltonianSpec, tol: float = 1e-9) -> LandscapeSolution:
     if float(u.values.min()) <= 0.0:
         raise PositivityError(
             f"landscape solution not positive (min={u.values.min():.3e})")
-    denom = H.lam + H.eta
-    floor = 1.0 / denom if denom > 0.0 else np.inf
-    return LandscapeSolution(u=u, spec=H,
-                             sup_per_cell=cell_reduce(u.values, H.grid, np.maximum),
-                             floor=floor)
+    return LandscapeSolution(u=u, spec=H)
 
 
 def eta_convergence_study(omega: OmegaField, bump: BumpProfile, grid: Grid,
@@ -117,9 +110,10 @@ def derived_fields(sol: LandscapeSolution):
     if float(u.min()) <= 0.0:
         raise PositivityError("landscape values must stay positive")
     grid = sol.spec.grid
-    if grid.bc == "periodic" and float(u.min()) < sol.floor * (1.0 - 1e-6):
-        raise PositivityError(
-            f"u dropped below the periodic barrier {sol.floor:.3e}")
+    # 1/(lam+eta), the V == 1 barrier; a periodic spec has lam + eta > 0
+    floor = 1.0 / (sol.spec.lam + sol.spec.eta) if grid.bc == "periodic" else 0.0
+    if float(u.min()) < floor * (1.0 - 1e-6):
+        raise PositivityError(f"u dropped below the periodic barrier {floor:.3e}")
     inv_u = ScalarField(grid=grid, values=1.0 / u)
     logu = np.log(u)
     boundary = "wrap" if grid.bc == "periodic" else "edge"

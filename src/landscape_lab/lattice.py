@@ -8,6 +8,7 @@ site z collects exactly m nodes per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -110,10 +111,15 @@ class HamiltonianSpec:
             raise ConfigurationError("potential must be nonnegative")
         if self.lam < 0.0 or self.eta < 0.0:
             raise ConfigurationError("lambda and eta must be nonnegative")
-        if self.grid.bc == "periodic" and self.eta + self.lam * self.potential.values.max() <= 0.0:
+        v_max = float(self.potential.values.max())
+        top = 2.0 * self.grid.d * self.grid.m ** 2 + float(self.lam) * v_max + float(self.eta)
+        if not np.isfinite(top):    # python floats overflow to inf without a warning
+            raise ConfigurationError("operator diagonal 2d m^2 + lambda*max V + eta overflows")
+        if self.grid.bc == "periodic" and self.eta + self.lam * v_max <= 0.0:
             raise SingularOperatorError(
                 "periodic operator with eta = 0 and lambda*V = 0 is singular")
 
+    @cached_property    # once per operator; a frozen dataclass without slots allows it
     def diagonal(self) -> np.ndarray:
         return (2.0 * self.grid.d * self.grid.m ** 2
                 + self.lam * self.potential.values + self.eta)
@@ -138,7 +144,7 @@ def _neighbor_sum(values: np.ndarray, bc: str) -> np.ndarray:
 def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
     """H v on node values: (2d+1)-point stencil; Dirichlet reads zeros outside,
     periodic wraps."""
-    return H.diagonal() * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
+    return H.diagonal * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
 
 
 def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
@@ -156,7 +162,7 @@ def _preconditioner(H: HamiltonianSpec):
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         # upper form: superdiagonal, diagonal
-        band = np.stack([np.full(H.grid.n_nodes, -float(H.grid.m ** 2)), H.diagonal()])
+        band = np.stack([np.full(H.grid.n_nodes, -float(H.grid.m ** 2)), H.diagonal])
         try:
             factor = sla.cholesky_banded(band)
         except sla.LinAlgError as exc:

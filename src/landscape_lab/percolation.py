@@ -48,11 +48,15 @@ class ClusterReport:
     closed_component_diameters: list   # Chebyshev diameters in coarse units
 
 
+def _edge_half_width(k: int) -> int:
+    """Per axis the edge cube holds the sites within w of its integer center: the
+    open cube of side 2^(k-1) reaches those strictly closer than 2^k / 4."""
+    return -(-(1 << k) // 4) - 1
+
+
 def edge_cube_site_count(k: int, d: int) -> int:
     """Fine sites inside the open edge cube of side 2^(k-1) (interior edges)."""
-    half = (1 << (k - 1)) / 2.0
-    per_axis = sum(1 for n in range(-(1 << k), (1 << k) + 1) if abs(n) < half)
-    return per_axis ** d
+    return (2 * _edge_half_width(k) + 1) ** d
 
 
 def choose_k(law: DisorderLaw, gamma: float, d: int) -> int:
@@ -97,10 +101,7 @@ def coarse_grain(omega: OmegaField, k: int, gamma: float) -> CoarseGraph:
     if any(b != L for b in omega.box):
         raise ConfigurationError("coarse graining expects a cubic box")
     nc = _coarse_side(L, k)
-    s = 1 << k
-    # every center is an integer and the open cube of side 2^(k-1) reaches
-    # the sites strictly closer than s/4 to it
-    w = -(-s // 4) - 1
+    s, w = 1 << k, _edge_half_width(k)
     xi = []
     for ax in range(omega.d):
         m = omega.values

@@ -48,3 +48,13 @@ def test_fold_pairs_and_judges(tmp_path):
         "total_s": 8.51, "tests": {"tests/test_acceptance.py::test_a": 8.3}}
     assert out["tier1"]["parent"] == {"passed": 13, "wall_s": 8.51}
     assert "workload" not in out["environment"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    wide = [1.0, 1.5, 2.0, 2.5, 3.0]        # interquartile range 1.0 at median 2.0
+    mixed = [1.1, 1.4, 2.1, 2.4, 3.1]
+    assert bench_fold.compare(list(zip(wide, mixed)), "higher", 0.25)["unresolved"]
+    assert not bench_fold.compare(list(zip(wide, mixed)), "higher", 0.6)["unresolved"]
+    above = [3.5, 3.6, 3.7, 3.8, 3.9]       # every change run beats every parent run
+    assert not bench_fold.compare(list(zip(wide, above)), "higher", 0.25)["unresolved"]
+    assert bench_fold.compare(list(zip(wide, above)), "lower", 0.25)["unresolved"]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from landscape_lab import cli, stats
-from landscape_lab.cli import TABLES, _RUNNERS, _setup, run, validate_config, write_csv
+from landscape_lab.cli import TABLES, _setup, run, validate_config, write_csv
 from landscape_lab.disorder import law_from_dict
 from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
+from landscape_lab.green import agmon_inequality_check, green_column
 from landscape_lab.landscape import solve_landscape
 from landscape_lab.percolation import choose_k
 
@@ -153,7 +154,7 @@ SMOKE_CONFIGS = {
 
 class TestEverySubcommand:
     def test_every_runner_has_a_config(self):
-        assert set(SMOKE_CONFIGS) == set(_RUNNERS)
+        assert set(SMOKE_CONFIGS) == set(TABLES)
 
     @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
     def test_runs_to_a_documented_exit_code(self, tmp_path, subcommand):
@@ -192,7 +193,7 @@ class TestEverySubcommand:
         ("vertical-derivative", "z_offsets", [1, 2.5]),
         ("lambda-scaling", "lambdas", [1.0, "a"]),
         ("covariance", "separations", [1, "a"]),
-        ("agmon-check", "mus", [0.0, "a"]),
+        ("agmon-check", "mus", [0.0, 0.1]),     # no longer a key
         ("eta-convergence", "etas", [1e-2, "a", 1e-4]),
         ("fpp-kesten", "radii", [1, "a"]),
         ("vertical-derivative", "z_offsets", []),
@@ -212,7 +213,7 @@ class TestEverySubcommand:
         ("solve-landscape", "sample_index", -1),
         ("green-decay", "experiment", "x"),     # no longer a key
         ("cluster-tail", "diam_max", 1),        # below the default diam_min 2
-        ("eta-convergence", "ratio_lo", 30.0),  # above the default ratio_hi 20
+        ("eta-convergence", "ratio_lo", 30.0),  # no longer a key
         ("green-decay", "law", {"kind": "bernoulli"}),
         ("green-decay", "law", {"kind": "bernoulli", "q": "a"}),
         ("green-decay", "law", {"kind": "discrete_atoms", "values": [0.0, 1.0]}),
@@ -237,12 +238,41 @@ class TestEverySubcommand:
         ("fpp-kesten", "L", (1 << 24) + 1),
         ("cluster-tail", "L", 4097),            # 4097**2 > 2**24
         ("anchor-1d", "L", 10 ** 11),
+        # both set: 2d m^2 + lambda*max V + eta overflows to inf
+        pytest.param("solve-landscape", "lambda,eta", 1e308,
+                     id="solve-landscape-lambda,eta-1e308"),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
-        cfg = write_cfg(tmp_path, "c.json",
-                        dict(SMOKE_CONFIGS[subcommand], **{key: value}))
+        given = dict(SMOKE_CONFIGS[subcommand], **dict.fromkeys(key.split(","), value))
+        cfg = write_cfg(tmp_path, "c.json", given)
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("eta-convergence", "ratio_lo", 5.0), ("eta-convergence", "ratio_hi", 20.0),
+        ("rank-one-check", "max_rel_error", 1e-6), ("agmon-check", "mus", [0.0, 0.1]),
+        ("agmon-check", "weight_cap", 4.0), ("agmon-check", "cutoff_inner", 1.0),
+        ("agmon-check", "cutoff_outer", 7.0)])
+    def test_removed_key_exits_2(self, tmp_path, capsys, subcommand, key, value):
+        # verdict thresholds and Agmon weights are constants, not config keys
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], **{key: value}))
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_agmon_rows_use_the_fixed_weights(self, tmp_path):
+        # mu = 0 and 0.1 sqrt(lambda); weight cap L/4, cutoff from 1 to L/2 - 1
+        given = dict(TINY_1D, n_samples=1, **{"lambda": 4.0})
+        out = tmp_path / "out"
+        assert run("agmon-check", write_cfg(tmp_path, "c.json", given), output_dir=out) == 0
+        cfg = validate_config("agmon-check", given)
+        H = _setup(cfg).hamiltonian(cfg["master_seed"], 0)
+        G = green_column(H, H.grid.center_node, tol=cfg["tol"])
+        rows = [line.split(",") for line in (out / "agmon.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for row, mu in zip(rows, (0.0, 0.2)):
+            rep = agmon_inequality_check(G, mu, 4.0, 1.0, 7.0)
+            assert [float(x) for x in row[1:4]] == [mu, rep.lhs, rep.rhs]
 
     @pytest.mark.parametrize("subcommand, window", [
         ("green-decay", {"r_min": 40.0, "r_max": 5.0}),
@@ -287,7 +317,7 @@ class TestOutputDirectory:
         ("green-decay", {"d": 4}, 2),
         ("green-decay", {"m": 10}, 2),
         ("green-decay", {"law": {"kind": "bernoulli", "q": 1.5}}, 2),
-        ("agmon-check", {"cutoff_inner": 0.1}, 2),
+        ("agmon-check", {"cutoff_inner": 1.0}, 2),   # no longer a key
         ("covariance", {"n_samples": 1}, 2),
         ("covariance", {"observable": "v"}, 2),
         ("eta-convergence", {"etas": [1e-2, 1e-3]}, 2),
@@ -349,7 +379,7 @@ class TestEffectiveConfig:
         a, b = tmp_path / "a", tmp_path / "b"
         code = run(subcommand, write_cfg(tmp_path, "c.json", given), output_dir=a)
         effective = json.loads((a / "manifest.json").read_text())["config"]
-        table = TABLES[subcommand]
+        table = TABLES[subcommand][1]
         assert set(effective) == set(table) - {"output_dir"}
         for key, spec in table.items():
             if key in given:
@@ -363,9 +393,6 @@ class TestEffectiveConfig:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_computed_defaults(self):
-        agmon = validate_config("agmon-check", dict(TINY_1D, n_samples=1, **{"lambda": 4}))
-        assert agmon["mus"] == [0.0, 0.2] and agmon["lambda"] == 4.0
-        assert agmon["weight_cap"] == 4.0 and agmon["cutoff_outer"] == 7.0
         vert = validate_config("vertical-derivative",
                                dict(TINY_1D, z_offsets=[2, -5, 3], n_samples=1))
         assert vert["r_min"] == 1.0 and vert["r_max"] == 5.0

@@ -4,7 +4,7 @@ import pytest
 from conftest import omega_from_values
 from landscape_lab.disorder import (bernoulli, default_bump,
                                     assemble_potential, sample_omega)
-from landscape_lab.errors import ConfigurationError
+from landscape_lab.errors import ConfigurationError, PositivityError
 from landscape_lab.landscape import (derived_fields, energy_estimate_check,
                                      eta_convergence_study, solve_landscape)
 from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce,
@@ -47,10 +47,11 @@ class TestSolveLandscape:
         H = disorder_spec(L=16, seed=2)
         sol = solve_landscape(H, tol=1e-10)
         assert sol.u.values.min() > 0.0
-        assert sol.sup_per_cell.shape == (16,)
+        sup_per_cell = cell_reduce(sol.u.values, H.grid, np.maximum)
+        assert sup_per_cell.shape == (16,)
         m = H.grid.m
         for z in range(16):
-            assert sol.sup_per_cell[z] == sol.u.values[z * m:(z + 1) * m].max()
+            assert sup_per_cell[z] == sol.u.values[z * m:(z + 1) * m].max()
 
     def test_monotone_in_lambda_and_eta(self):
         H1 = disorder_spec(L=16, lam=1.0, eta=1e-2, seed=3)
@@ -65,8 +66,13 @@ class TestSolveLandscape:
     def test_periodic_floor_barrier(self):
         H = disorder_spec(L=8, bc="periodic", lam=1.0, eta=0.1, seed=4)
         sol = solve_landscape(H, tol=1e-11)
-        assert sol.floor == pytest.approx(1.0 / 1.1)
-        assert sol.u.values.min() >= sol.floor * (1 - 1e-9)
+        floor = 1.0 / 1.1    # 1/(lam + eta)
+        assert sol.u.values.min() >= floor * (1 - 1e-9)
+        derived_fields(sol)
+        u = sol.u.values * (0.5 * floor / sol.u.values.min())   # min at half the floor
+        below = type(sol)(u=ScalarField(grid=H.grid, values=u), spec=H)
+        with pytest.raises(PositivityError, match=f"barrier {floor:.3e}"):
+            derived_fields(below)
 
 
 class TestCellReductions:
@@ -155,8 +161,7 @@ class TestDerivedFields:
         sol = solve_landscape(H, tol=1e-11)
         g1 = derived_fields(sol)["grad_log_u"][0].values
         scaled = type(sol)(u=ScalarField(grid=H.grid, values=3.0 * sol.u.values),
-                           spec=sol.spec, sup_per_cell=3.0 * sol.sup_per_cell,
-                           floor=sol.floor)
+                           spec=sol.spec)
         g2 = derived_fields(scaled)["grad_log_u"][0].values
         assert np.allclose(g1, g2, atol=1e-12)
 

@@ -142,6 +142,23 @@ class TestHamiltonianSpecInvariants:
                             potential=ScalarField.constant(grid, 0.0),
                             lam=-1.0, eta=0.1)
 
+    @pytest.mark.parametrize("v_max, lam, eta, finite", [
+        (1.0, 1e308, 1e308, False),     # lambda*V + eta overflows
+        (2.0, 1e308, 0.0, False),       # lambda*max V alone overflows
+        (1.0, 1e308, 0.0, True),        # large, but every entry is finite
+    ])
+    def test_overflowing_diagonal_rejected(self, v_max, lam, eta, finite):
+        grid = Grid(d=1, L=4, m=5)
+        values = np.zeros(grid.shape)
+        values[7] = v_max
+        V = ScalarField(grid=grid, values=values)
+        if finite:
+            H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
+            assert np.isfinite(H.diagonal).all() and H.diagonal is H.diagonal
+        else:
+            with pytest.raises(ConfigurationError, match="overflows"):
+                HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
+
 
 class TestCgSolve:
     def test_constant_solution_periodic(self):

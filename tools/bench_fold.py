@@ -11,8 +11,10 @@ writes it) present under both --parent and --change makes one pair.  For
 each end-to-end metric in BENCHMARK.json the fold lists both sides' runs,
 their quartiles, the pairs the change won (ties count for neither), whether
 that is a gain (at least 9 pairs in 10 won, and the medians apart by more
-than the parent's interquartile range) and how far the change's median is
-worse than the parent's against the metric's bound.  Traced pairs give the
+than the parent's interquartile range), how far the change's median is
+worse than the parent's against the metric's bound, and whether the metric is
+unresolved: the parent's interquartile range, relative to its median, is
+wider than the bound, and not every change run beats every parent run.  Traced pairs give the
 per-layer metrics side by side.  The acceptance logs are pytest output run
 with ``--durations=0``; a Tier-1 log is pytest output ending in its
 "N passed in Xs" line.  Standard library only.
@@ -55,12 +57,14 @@ def compare(pairs: list, better: str, bound: float) -> dict:
     parent, change = [p for p, _ in pairs], [c for _, c in pairs]
     pq, cq = quartiles(parent), quartiles(change)
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
     return {"better": better, "parent": parent, "change": change,
             "parent_quartiles": pq, "change_quartiles": cq,
             "change_over_parent_median": cq[1] / pq[1],
             "change_won": f"{wins}/{len(pairs)}",
             "gain": wins >= 0.9 * len(pairs) and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
-            "worse_frac": sign * (pq[1] - cq[1]) / pq[1], "bound": bound}
+            "worse_frac": sign * (pq[1] - cq[1]) / pq[1], "bound": bound,
+            "unresolved": (pq[2] - pq[0]) / pq[1] > bound and not beats_all}
 
 
 def fold_workload(parent: dict, change: dict, keys: list, end_to_end: list) -> dict:
