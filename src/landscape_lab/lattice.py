@@ -11,9 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (ConfigurationError, GridMismatchError,
                      SingularOperatorError, SolverNonConvergenceError)
@@ -124,6 +121,12 @@ class HamiltonianSpec:
         return (2.0 * self.grid.d * self.grid.m ** 2
                 + self.lam * self.potential.values + self.eta)
 
+    def __getstate__(self):
+        """Pickle without the cached diagonal; the copy recomputes it on first use."""
+        state = dict(self.__dict__)
+        state.pop("diagonal", None)
+        return state
+
 
 def _neighbor_sum(values: np.ndarray, bc: str) -> np.ndarray:
     out = np.zeros_like(values)
@@ -155,20 +158,63 @@ def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
     return blocks
 
 
+def _tridiagonal_solver(diag: np.ndarray, c: float):
+    """r -> A^-1 r for the symmetric tridiagonal A with diagonal diag and every
+    off-diagonal entry -c (c > 0), by odd-even cyclic reduction.
+
+    Each level eliminates the even-indexed unknowns from the odd-indexed
+    equations, which leaves a system of the same form (off-diagonals still
+    negative) of half the size; the factor keeps every level's coefficients.
+    A solve sweeps the levels down and back up in place on one array, whose
+    entries 2^l - 1 + j 2^l are level l's unknowns: log2(n) whole-array steps
+    each way.  No pivoting: a non-positive pivot means A is not positive
+    definite.
+    """
+    levels = []
+    b, s = diag, np.full(diag.size - 1, float(c))   # s[i] = -A[i, i + 1]
+    while True:
+        if not b.min() > 0.0:
+            raise SingularOperatorError("operator is not positive definite")
+        if b.size == 1:
+            break
+        inv_even = 1.0 / b[0::2]
+        k = b.size // 2    # odd unknowns; with n even the last has no right neighbour
+        left, right = s[0::2], s[1::2]
+        alpha, gamma = left * inv_even[:k], right * inv_even[1:]
+        b = b[1::2] - alpha * left
+        b[:gamma.size] -= gamma * right
+        s = gamma[:k - 1] * s[2::2]
+        levels.append((inv_even, left, right, alpha, gamma))
+    inv_last, top = 1.0 / b[0], (1 << len(levels)) - 1
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = r.copy()
+        for level, (_, _, _, alpha, gamma) in enumerate(levels):
+            unknowns = x[(1 << level) - 1::1 << level]
+            even, odd = unknowns[0::2], unknowns[1::2]
+            odd += alpha * even[:alpha.size]
+            odd[:gamma.size] += gamma * even[1:]
+        x[top] *= inv_last
+        for level in range(len(levels) - 1, -1, -1):
+            inv_even, left, right, _, _ = levels[level]
+            unknowns = x[(1 << level) - 1::1 << level]
+            even, odd = unknowns[0::2], unknowns[1::2]
+            even[:left.size] += left * odd
+            even[1:] += right * odd[:right.size]
+            even *= inv_even
+        return x
+    return solve
+
+
 def _preconditioner(H: HamiltonianSpec):
-    """r -> M^-1 r.  1-d Dirichlet: the operator's banded Cholesky factor.  Else
-    M = -Lap_h + eta + lambda*mean(V) by a real FFT (periodic) or a DST-II
-    (Dirichlet, ghost node half a step out: SPD, inexact); no stored factor.
+    """r -> M^-1 r.  1-d Dirichlet: the operator's own inverse, M = H, by cyclic
+    reduction.  Else M = -Lap_h + eta + lambda*mean(V), diagonal in a real FFT
+    basis (periodic, numpy.fft) or a DST-II basis (Dirichlet, ghost node half a
+    step out: SPD, inexact; scipy.fft, imported only here).  The factor or the
+    eigenvalues are computed once per call, for every CG step of one solve.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
-        # upper form: superdiagonal, diagonal
-        band = np.stack([np.full(H.grid.n_nodes, -float(H.grid.m ** 2)), H.diagonal])
-        try:
-            factor = sla.cholesky_banded(band)
-        except sla.LinAlgError as exc:
-            raise SingularOperatorError("operator is not positive definite") from exc
-        return lambda r: sla.cho_solve_banded((factor, False), r)
-    import scipy.fft as sfft   # only here, so other grids skip its import cost
+        return _tridiagonal_solver(H.diagonal, float(H.grid.m ** 2))
     n, periodic = H.grid.n_per_side, H.grid.bc == "periodic"
     # 1-d eigenvalues 4 m^2 sin^2(pi k / n): k = 0..n-1 periodic, 1/2..n/2 DST-II
     k = np.arange(n) if periodic else np.arange(1, n + 1) / 2.0
@@ -178,7 +224,9 @@ def _preconditioner(H: HamiltonianSpec):
         axes[-1] = eig[:n // 2 + 1]
     scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
     if periodic:
-        return lambda r: sfft.irfftn(scale * sfft.rfftn(r), s=r.shape, overwrite_x=True)
+        dims = tuple(range(H.grid.d))
+        return lambda r: np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=dims)
+    import scipy.fft as sfft   # only here: a numpy DST-II costs more than the import
     return lambda r: sfft.idstn(scale * sfft.dstn(r, type=2), type=2, overwrite_x=True)
 
 
@@ -186,7 +234,10 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
              max_iter: int | None = None) -> ScalarField:
     """Preconditioned CG down to ||A f - rhs|| <= tol * ||rhs||.
 
-    A 1-d Dirichlet solve takes one iteration, any other some ten.  Only the
+    The preconditioner is set up once per call and applied once per step.  On
+    1-d Dirichlet grids it is the exact cyclic-reduction inverse, so a solve
+    takes one iteration (a non-positive pivot raises SingularOperatorError);
+    on every other grid it is spectral and a solve takes some ten.  Only the
     stencil's true residual accepts an answer; a failed check restarts CG from
     it.  A stall (p.Ap <= 0, or a true residual that does not fall between two
     checks) raises like max_iter does, reporting the true relres.  Fixed order
@@ -232,8 +283,9 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
         f"iterations (true relres={relres:.3e})")
 
 
-def _assemble_sparse(H: HamiltonianSpec) -> sp.csr_matrix:
-    """The operator as a sparse matrix, built apart from the stencil code."""
+def _assemble_sparse(H: HamiltonianSpec):
+    """The operator as a scipy.sparse CSR matrix, built apart from the stencil code."""
+    import scipy.sparse as sp   # oracle only: the CLI's runtime path needs no scipy
     n = H.grid.n_per_side
     m2 = float(H.grid.m ** 2)
     offsets = [0, 1, -1] + ([n - 1, 1 - n] if H.grid.bc == "periodic" else [])
@@ -252,6 +304,7 @@ def dense_solve_oracle(H: HamiltonianSpec, rhs: ScalarField) -> ScalarField:
     if H.grid.n_nodes > _MAX_DENSE_NODES:
         raise ConfigurationError(
             f"direct oracle limited to {_MAX_DENSE_NODES} nodes, got {H.grid.n_nodes}")
+    import scipy.sparse.linalg as spla
     A = _assemble_sparse(H).tocsc()
     lu = spla.splu(A)
     x = lu.solve(rhs.values.ravel(order="C"))

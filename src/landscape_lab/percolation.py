@@ -6,7 +6,9 @@ edge cube is a product of intervals, so its max is a separable window max
 taken only at the edge centers.  The chemical distance counts open edges
 along the cheapest path: closed (weight 0) edges are contracted into
 components, then a breadth-first search runs over the open edges between
-them.  Connected components come from scipy.sparse.csgraph.
+them.  Both graph routines are whole-array numpy passes over the edge list:
+min-label propagation with pointer jumping for the components, one frontier
+step per level for the search.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError
@@ -124,9 +124,48 @@ def _edge_list(g: CoarseGraph):
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component label per vertex of the undirected graph with edges (a, b)."""
-    adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-    return connected_components(adj, directed=False)[1]
+    """Per vertex of the undirected graph with edges (a, b), the smallest vertex
+    of its component.
+
+    Labels are parent pointers to smaller vertices.  Each round hooks, for
+    every edge between two trees, the larger root under the smallest root it
+    meets, then pointer jumping flattens every tree to a star; rounds repeat
+    until no edge joins two trees.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        join = la != lb
+        if not join.any():
+            return label
+        la, lb = la[join], lb[join]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
+def _hop_counts(n: int, a: np.ndarray, b: np.ndarray, source: int) -> np.ndarray:
+    """Per vertex of the undirected graph with edges (a, b), the fewest edges
+    from source (-1 if unreachable): a breadth-first search that expands the
+    whole frontier at once and drops the arcs into reached vertices."""
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    hops = np.full(n, -1)
+    hops[source] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    level = 0
+    while True:
+        nxt = head[frontier[tail]]
+        nxt = nxt[hops[nxt] < 0]
+        if nxt.size == 0:
+            return hops
+        level += 1
+        hops[nxt] = level
+        frontier[:] = False
+        frontier[nxt] = True
+        keep = hops[head] < 0
+        tail, head = tail[keep], head[keep]
 
 
 def cluster_analysis(g: CoarseGraph) -> ClusterReport:
@@ -166,13 +205,9 @@ def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
         raise ConfigurationError(f"origin {origin} outside the coarse graph")
     lo, hi, open_ = _edge_list(g)
     comp = _components(g.n_vertices, lo[~open_], hi[~open_])
-    n_comp = int(comp.max()) + 1
-    quotient = sp.coo_matrix(
-        (np.ones(np.count_nonzero(open_)), (comp[lo[open_]], comp[hi[open_]])),
-        shape=(n_comp, n_comp))
-    hops = shortest_path(quotient, directed=False, unweighted=True,
-                         indices=comp[np.ravel_multi_index(origin, shape)])
-    return ChemicalDistanceMap(dist=hops[comp].astype(int).reshape(shape))
+    hops = _hop_counts(g.n_vertices, comp[lo[open_]], comp[hi[open_]],
+                       comp[np.ravel_multi_index(origin, shape)])
+    return ChemicalDistanceMap(dist=hops[comp].reshape(shape))
 
 
 def wilson_interval(successes: int, n: int):

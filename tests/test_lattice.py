@@ -1,4 +1,6 @@
+import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -159,6 +161,15 @@ class TestHamiltonianSpecInvariants:
             with pytest.raises(ConfigurationError, match="overflows"):
                 HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
 
+    def test_pickle_leaves_out_cached_diagonal(self):
+        H = random_spec(d=2, L=4, m=5, seed=2)
+        size = len(pickle.dumps(H))
+        diagonal = H.diagonal
+        assert len(pickle.dumps(H)) == size
+        copy = pickle.loads(pickle.dumps(H))
+        assert "diagonal" not in vars(copy)
+        assert copy.diagonal.tobytes() == diagonal.tobytes()
+
 
 class TestCgSolve:
     def test_constant_solution_periodic(self):
@@ -216,7 +227,8 @@ class TestCgSolve:
 
 
 class TestBandedPreconditioner:
-    """1-d Dirichlet solves use the exact tridiagonal factor as preconditioner."""
+    """1-d Dirichlet solves use the exact tridiagonal factor (cyclic reduction)
+    as preconditioner."""
 
     @staticmethod
     def rhs_cases(grid):
@@ -233,6 +245,20 @@ class TestBandedPreconditioner:
         for rhs in self.rhs_cases(H.grid):
             x = cg_solve(H, rhs, tol=1e-10, max_iter=1)
             assert self.rel_error(x, dense_solve_oracle(H, rhs)) <= 1e-10
+
+    # n = 4 (smallest grid), n = 35 (odd), n = 256 (a power of two)
+    @pytest.mark.parametrize("L, m", [(4, 1), (5, 7), (16, 16)])
+    def test_cyclic_reduction_matches_oracle(self, L, m):
+        H = random_spec(L=L, m=m, eta=1e-6, seed=m)
+        solve = lattice._preconditioner(H)
+        for rhs in self.rhs_cases(H.grid):
+            x = ScalarField(grid=H.grid, values=solve(rhs.values))
+            assert self.rel_error(x, dense_solve_oracle(H, rhs)) <= 1e-10
+
+    def test_nonpositive_pivot_rejected(self):
+        # tridiag(-1, 1, -1) on three nodes is indefinite
+        with pytest.raises(SingularOperatorError):
+            lattice._tridiagonal_solver(np.ones(3), 1.0)
 
     def test_wrong_band_costs_iterations_not_accuracy(self, monkeypatch):
         # a preconditioner built from a raised diagonal is SPD but inexact
@@ -273,13 +299,54 @@ class TestSpectralPreconditioner:
         cg_solve(H, ScalarField.constant(grid, 1.0))
         assert len(calls) <= 40
 
-    def test_cli_import_leaves_fft_unloaded(self):
+
+# Run in a fresh interpreter: after the import and after each (subcommand,
+# config) run in argv[1] it records the scipy modules loaded so far; a 2-d
+# Dirichlet solve comes last.
+NO_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+from landscape_lab import cli
+from landscape_lab.lattice import Grid, HamiltonianSpec, ScalarField, cg_solve
+runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
+loaded = {"import": [m for m in sys.modules if m.split(".")[0] == "scipy"]}
+for i, (name, cfg) in enumerate(runs):
+    path = tmp / f"{i}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(name, path, output_dir=tmp / str(i)) in (0, 4, 5), name
+    loaded[name] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+grid = Grid(d=2, L=4, m=5)
+H = HamiltonianSpec(grid=grid, potential=ScalarField.constant(grid, 0.0), lam=0.0, eta=1.0)
+cg_solve(H, ScalarField.constant(grid, 1.0))
+loaded["2-d dirichlet"] = "scipy.fft" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyFreeRuntime:
+    """scipy is loaded only by Dirichlet solves with d >= 2 (its DST-II), the
+    direct oracle and selftest."""
+
+    def test_cli_paths_load_no_scipy(self, tmp_path):
+        law = {"kind": "bernoulli", "q": 0.5}
+        runs = [
+            ("green-decay", {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0,
+                             "eta": 1e-3, "p": 1.0, "n_samples": 2, "margin": 2,
+                             "r_min": 1.0, "r_max": 5.0}),
+            ("solve-landscape", {"d": 1, "L": 16, "m": 20, "bc": "periodic", "law": law,
+                                 "lambda": 1.0, "eta": 1e-3}),
+            ("fpp-kesten", {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
+                            "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}),
+            ("cluster-tail", {"d": 2, "L": 33, "law": law, "gamma": 0.5, "k": 3,
+                              "n_samples": 2})]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import sys, landscape_lab.cli; print('scipy.fft' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(runs),
+                              str(tmp_path)], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        loaded = json.loads(out.strip().splitlines()[-1])
+        assert loaded.pop("2-d dirichlet") is True
+        assert loaded == {key: [] for key in ["import", *(name for name, _ in runs)]}
 
 
 class TestStall:
@@ -294,7 +361,6 @@ class TestStall:
         # V = 0, eta = 1e-6: the true residual floor sits above the default tol
         grid = Grid(d=1, L=128, m=20, bc="periodic")
         H = zero_potential_spec(grid, eta=1e-6)
-        import scipy.fft   # loaded first, so the timing covers the solve alone
         start = time.perf_counter()
         with pytest.raises(SolverNonConvergenceError) as exc:
             cg_solve(H, delta_rhs(grid, grid.center_node))

@@ -95,6 +95,29 @@ def closed_diameters_oracle(g):
     return diameters
 
 
+def serpentine_path_graph(nc):
+    """2-d graph whose closed edges form one boustrophedon path over rows
+    0..nc-2 (nc*(nc-1) - 1 edges long); every other edge, the last row's
+    too, is open."""
+    vertical = np.ones((nc - 1, nc), dtype=bool)
+    horizontal = np.ones((nc, nc - 1), dtype=bool)
+    horizontal[:-1] = False
+    for r in range(nc - 2):
+        vertical[r, nc - 1 if r % 2 == 0 else 0] = False
+    return make_graph([vertical, horizontal])
+
+
+def serpentine_closed_sites(nc):
+    """2-d graph whose closed vertices (touched by no open edge) form one
+    serpentine: the even rows, joined through one vertex of each odd row at
+    alternate ends.  An edge is open when neither end is on the serpentine."""
+    snake = np.zeros((nc, nc), dtype=bool)
+    snake[0::2] = True
+    snake[1::4, -1] = True
+    snake[3::4, 0] = True
+    return make_graph([~snake[:-1] & ~snake[1:], ~snake[:, :-1] & ~snake[:, 1:]])
+
+
 # (d, L, k): k = 1-4 in every dimension, with L = 1 (mod 2^k) and L != 1 (mod 2^k)
 ORACLE_CASES = [(1, 33, 1), (1, 30, 2), (1, 41, 3), (1, 70, 4),
                 (2, 9, 1), (2, 14, 2), (2, 33, 3), (2, 53, 4),
@@ -205,6 +228,12 @@ class TestClusterAnalysis:
             assert cluster_analysis(g).closed_component_diameters == \
                 closed_diameters_oracle(g)
 
+    def test_serpentine_is_one_component(self):
+        # a path of about nc^2 / 2 vertices: pointer jumping's deepest tree
+        g = serpentine_closed_sites(17)
+        assert cluster_analysis(g).closed_component_diameters == \
+            closed_diameters_oracle(g) == [16]
+
     def test_diameter_tail_decreases(self):
         # threshold tuned so closed edges are dense (though subcritical) and
         # closed vertices actually occur at observable rates
@@ -246,6 +275,22 @@ class TestChemicalDistance:
             dmap = chemical_distance(g, origin)
             oracle = bellman_ford_distances(g, origin)
             assert np.array_equal(dmap.dist.astype(float), oracle)
+
+    @pytest.mark.parametrize("d,L,k", ORACLE_CASES)
+    def test_matches_bellman_ford_on_coarse_graphs(self, d, L, k):
+        for i in range(3):
+            omega = sample_omega(uniform01(), (L,) * d, 79, i)
+            g = coarse_grain(omega, k, 0.5 ** (1.0 / edge_cube_site_count(k, d)))
+            origin = (g.nc // 2,) * d
+            assert np.array_equal(chemical_distance(g, origin).dist.astype(float),
+                                  bellman_ford_distances(g, origin))
+
+    @pytest.mark.parametrize("origin", [(0, 0), (15, 7)])
+    def test_serpentine_closed_path(self, origin):
+        g = serpentine_path_graph(16)
+        dist = chemical_distance(g, origin).dist
+        assert np.array_equal(dist.astype(float), bellman_ford_distances(g, origin))
+        assert (dist[:-1] == dist[0, 0]).all()
 
     def test_lipschitz_between_neighbors(self):
         rng = np.random.default_rng(11)
