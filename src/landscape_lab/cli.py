@@ -3,25 +3,22 @@
 Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
 per subcommand, its runner and each key's type, its default (or that it is
 required) and its range rule.  Validation rejects unknown keys, wrong types,
-non-finite floats (also in lists and law fields) and values out of range
-(n_samples, workers, k >= 1; tol, p, lambdas > 0; lambda, eta, etas,
-sample_index >= 0; 0 <= margin < L/2; r_max > r_min; diam_max >= diam_min;
-the rank-one offsets inside the box; percolation d in {1, 2, 3}; percolation
-and anchoring boxes of L**d <= 2^24 sites; no file at or above output_dir),
-also when the --seed/--workers/--output flags set them, and fills in every
-default, so runners read ``cfg[key]`` only; so is an operator whose diagonal
-overflows.  Verdict thresholds are constants in the runners.  Samples run
-through ``stats._pool_map`` on min(workers, n_samples, cpu count) processes:
-any worker count gives the same bytes, and a failed solve skips its sample
-(more than 5 % skipped exits 3).
+non-finite floats and values out of range, also when the
+--seed/--workers/--output flags set them, and fills in every default, so
+runners read ``cfg[key]`` only.  Verdict thresholds are constants in the
+runners.  Samples run through ``stats._pool_map``: any worker count gives
+the same bytes, and a failed solve skips its sample (more than 5 % skipped
+exits 3).
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
 ``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
-manifest.json with the effective config (fed back as a config, it reproduces
-the run) and the checksums of exactly those files.  A failed decay fit is a
-FAIL with its reason in the manifest.  Exit codes: 0 ok/pass, 2 validation
-error, 3 solver failure, 4 statistical FAIL, 5 inconclusive; 2 and 3 write
-nothing, except that an OSError while writing output_dir also exits 2 (with
-a one-line "output error" message) and may leave the files written before it.
+manifest.json (strict JSON: non-finite values are null) with the effective
+config (fed back as a config, it reproduces the run) and the checksums of
+exactly those files.  A failed decay fit is a FAIL with its reason in the
+manifest.  Exit codes: 0 ok/pass, 2 validation error (a ConfigurationError,
+also from the library), 3 solver failure, 4 statistical FAIL, 5
+inconclusive; 2 and 3 write nothing, except that an OSError while writing
+output_dir also exits 2 (with a one-line "output error" message) and may
+leave the files written before it.
 """
 
 from __future__ import annotations
@@ -39,9 +36,7 @@ import numpy as np
 
 from . import __version__
 from .disorder import default_bump, law_from_dict, sample_omega
-from .errors import (ConfigurationError, ExperimentError, FitError,
-                     LawValidationError, PositivityError, SingularOperatorError,
-                     SolverNonConvergenceError)
+from .errors import ConfigurationError, ExperimentError, FitError, SolverFailure
 from .green import (agmon_inequality_check, all_cell_masses, green_column,
                     massive_domination_check, rank_one_identity_check)
 from .landscape import (derived_fields, energy_estimate_check,
@@ -105,16 +100,17 @@ def _no_file_on(path, cfg):
 _POSITIVE = ("> 0", lambda v, cfg: v > 0)
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
 _BASE = {"master_seed": Key(int, 0), "workers": Key(int, 1, _at_least(1)),
-         "tol": Key(float, 1e-9, _POSITIVE),
+         "tol": Key(float, ExperimentSetup.tol, _POSITIVE),
          "output_dir": Key(str, None, ("a directory, not a file or under one",
                                        _no_file_on))}
 _OPERATOR = {"d": Key(int), "L": Key(int), "m": Key(int),
-             "bc": Key(str, "dirichlet"), "law": Key(dict),
+             "bc": Key(str, ExperimentSetup.bc), "law": Key(dict),
              "lambda": Key(float, rule=_at_least(0)),
              "eta": Key(float, rule=_at_least(0))}
 _N_SAMPLES = Key(int, rule=_at_least(1))
 _P = Key(float, rule=_POSITIVE)
-_MARGIN = Key(int, 5, ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
+_MARGIN = Key(int, ExperimentSetup.margin,
+              ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
 _K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"]),
          _at_least(1))
 _ABOVE_R_MIN = ("> r_min", lambda v, cfg: v > cfg["r_min"])
@@ -312,7 +308,7 @@ def _run_agmon_check(cfg, tables):
 
 def _rank_one_sample(i, setup, cfg):
     grid = setup.grid()
-    z = (grid.L // 2 + cfg["z_offset"],) * grid.d
+    z = tuple(c + cfg["z_offset"] for c in grid.center_cell)
     x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
     return rank_one_identity_check(setup.omega(cfg["master_seed"], i), z, grid,
                                    default_bump(), setup.lam, setup.eta, x)
@@ -438,10 +434,7 @@ TABLES = {name: (runner, {**_BASE, **keys}) for name, (runner, keys) in {
     "agmon-check": (_run_agmon_check, {**_operator("bc"), "n_samples": _N_SAMPLES}),
     "rank-one-check": (_run_rank_one, {
         **_operator("bc"), "n_samples": _N_SAMPLES,
-        "z_offset": Key(int, 2, ("inside the box",
-                                 lambda v, cfg: 0 <= cfg["L"] // 2 + v < cfg["L"])),
-        "x_offset": Key(int, -3, ("inside the box", lambda v, cfg: 0 <= (
-            (cfg["L"] // 2 + v) * cfg["m"] + cfg["m"] // 2) < cfg["L"] * cfg["m"]))}),
+        "z_offset": Key(int, 2), "x_offset": Key(int, -3)}),
     "fpp-kesten": (_run_fpp_kesten, {**_LATTICE, "law": Key(dict),
                                      "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
                                      "c_probe": Key(float), "n_samples": _N_SAMPLES}),
@@ -462,7 +455,10 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
              "output_dir": None if output_dir is None else str(output_dir)}
     t0, tables = time.time(), {}
     try:
-        raw = json.loads(Path(config_path).read_text())
+        try:    # missing, a directory, not UTF-8 or not JSON
+            raw = json.loads(Path(config_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigurationError("config must be a JSON object")
         raw.update((key, val) for key, val in flags.items() if val is not None)
@@ -470,12 +466,10 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
         if cfg["output_dir"] is None:
             raise ConfigurationError("output_dir missing (config key or --output)")
         result, details = TABLES[subcommand][0](cfg, tables)
-    except (ConfigurationError, LawValidationError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SolverNonConvergenceError, SingularOperatorError, PositivityError,
-            ExperimentError) as exc:
+    except (SolverFailure, ExperimentError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except FitError as exc:
@@ -507,8 +501,11 @@ def run(subcommand: str, config_path, output_dir=None, workers=None,
             "files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                       for name in [*tables, "summary.txt"]},
         }
-        (out / "manifest.json").write_text(json.dumps(
-            manifest, indent=2, sort_keys=True, default=lambda v: v.tolist()))  # numpy values
+        # numpy values become lists, and non-finite floats null
+        plain = json.loads(json.dumps(manifest, default=lambda v: v.tolist()),
+                           parse_constant=lambda name: None)
+        (out / "manifest.json").write_text(json.dumps(plain, indent=2, sort_keys=True,
+                                                      allow_nan=False))
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

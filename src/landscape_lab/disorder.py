@@ -10,7 +10,7 @@ that parallel generation is order-independent.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,14 +52,15 @@ def _site_uniforms(master_seed: int, sample_index: int, stream: int, sites: np.n
 
 @dataclass(frozen=True)
 class DisorderLaw:
-    """Law of a single site amplitude; values in [0,1], infimum of support 0."""
+    """Law of a single site amplitude; values in [0,1], infimum of support 0.
+    Construction raises LawValidationError for a law that breaks this."""
 
     kind: str                      # 'bernoulli' | 'uniform01' | 'discrete_atoms'
     q: float | None = None         # bernoulli: P[w = 1]
     values: tuple = ()             # discrete_atoms
     probs: tuple = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind == "bernoulli":
             if self.q is None or not (0.0 < self.q < 1.0):
                 raise LawValidationError(
@@ -164,13 +165,10 @@ def law_from_dict(d: dict) -> DisorderLaw:
     if unused:
         raise LawValidationError(f"law kind {kind!r} takes no field {unused}")
     if kind == "bernoulli":
-        law = bernoulli(_number(d.get("q"), "q"))
-    elif kind == "uniform01":
-        law = uniform01()
-    else:
-        law = discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
-    law.validate()
-    return law
+        return bernoulli(_number(d.get("q"), "q"))
+    if kind == "uniform01":
+        return uniform01()
+    return discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,6 @@ class OmegaField:
 
 def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> OmegaField:
     """Draw the whole field; deterministic and site-keyed in all inputs."""
-    law.validate()
     box = tuple(int(b) for b in box)
     if len(box) == 0 or any(b < 1 for b in box):
         raise ConfigurationError(f"box must be nonempty, got {box}")
@@ -228,15 +225,14 @@ def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     """Fresh independent draw at site z; every other site untouched."""
     z = tuple(int(c) for c in np.atleast_1d(z))
     if len(z) != omega.d or any(not (0 <= c < b) for c, b in zip(z, omega.box)):
-        raise IndexError(f"site {z} outside box {omega.box}")
+        raise ConfigurationError(f"site {z} outside box {omega.box}")
     site = np.asarray([np.ravel_multi_index(z, omega.box)], dtype=np.uint64)
     # stream 0 is the original field; odd streams are reserved for resampling
     stream = (2 * (resample_seed & _MASK64) + 1) & _MASK64
     u = _site_uniforms(omega.master_seed, omega.sample_index, stream, site)
     values = omega.values.copy()
     values[z] = omega.law.from_uniform(u)[0]
-    return OmegaField(box=omega.box, values=values, law=omega.law,
-                      master_seed=omega.master_seed, sample_index=omega.sample_index)
+    return replace(omega, values=values)
 
 
 def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarField":

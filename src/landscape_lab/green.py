@@ -9,7 +9,7 @@ free Green function, the single-site perturbation identity, and the weighted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,17 +94,14 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
     """
     z = tuple(int(c) for c in np.atleast_1d(z))
     if any(not (0 <= c < b) for c, b in zip(z, omega.box)):
-        raise IndexError(f"site {z} outside box {omega.box}")
+        raise ConfigurationError(f"site {z} outside box {omega.box}")
     origin, tol = grid.center_node, 1e-12
     x = tuple(int(i) for i in np.atleast_1d(x))
 
     V = assemble_potential(omega, bump, grid)
     forced = omega.values.copy()
     forced[z] = 1.0
-    omega_minus = OmegaField(box=omega.box, values=forced, law=omega.law,
-                             master_seed=omega.master_seed,
-                             sample_index=omega.sample_index)
-    V_minus = assemble_potential(omega_minus, bump, grid)
+    V_minus = assemble_potential(replace(omega, values=forced), bump, grid)
 
     H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
     H_minus = HamiltonianSpec(grid=grid, potential=V_minus, lam=lam, eta=eta)

@@ -273,7 +273,7 @@ def gap_statistic_1d(omega: OmegaField, gamma: float, y_prime: int) -> GapStatis
         raise ConfigurationError("gap statistic is one-dimensional")
     L = omega.box[0]
     if not (0 <= y_prime < L):
-        raise IndexError(f"site {y_prime} outside box of length {L}")
+        raise ConfigurationError(f"site {y_prime} outside box of length {L}")
     left = np.flatnonzero(omega.values[:y_prime] >= gamma)
     right = np.flatnonzero(omega.values[y_prime + 1:] >= gamma)
     if right.size == 0 or left.size == 0:

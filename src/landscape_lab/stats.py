@@ -16,8 +16,7 @@ import numpy as np
 
 from .disorder import (DisorderLaw, OmegaField, assemble_potential, default_bump,
                        resample_site, sample_omega)
-from .errors import (ConfigurationError, ExperimentError, FitError, PositivityError,
-                     SingularOperatorError, SolverNonConvergenceError)
+from .errors import ConfigurationError, ExperimentError, FitError, SolverFailure
 from .green import all_cell_masses, green_column
 from .landscape import derived_fields, solve_landscape
 from .lattice import Grid, HamiltonianSpec
@@ -83,7 +82,7 @@ class ExperimentSetup:
 def _attempt(fn, i, args):
     try:
         return fn(i, *args)
-    except (SolverNonConvergenceError, SingularOperatorError, PositivityError) as exc:
+    except SolverFailure as exc:
         log.warning("sample %d skipped: %s", i, exc)
         return None
 

@@ -89,6 +89,18 @@ class TestExitCodes:
         p.write_text("{not json")
         assert run("selftest", p, output_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("unreadable", ["a directory", "not UTF-8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, unreadable):
+        p = tmp_path / "c.json"
+        if unreadable == "a directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b'{"law": "\xe9"}')     # latin-1
+        assert run("selftest", p, output_dir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: config {p}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg(bogus=1))
         assert run("green-decay", cfg, output_dir=tmp_path / "out") == 2
@@ -152,9 +164,38 @@ SMOKE_CONFIGS = {
 }
 
 
+# the header of every CSV each smoke config writes; the benchmark's gate
+# compares headers exactly
+CURVE, FIT = "distance,value,ci", "rate,log_prefactor,r_min,r_max,r_squared,n_points"
+CSV_HEADERS = {
+    "solve-landscape": {"u.csv": "node,x0,u,inv_u", "sup_cells.csv": "cell,sup_u"},
+    "green-decay": {"curve.csv": CURVE, "fit.csv": FIT},
+    "lambda-scaling": {"fits.csv": "lambda,rate,r_squared,ratio",
+                       "curve_lambda_0.5.csv": CURVE, "curve_lambda_1.csv": CURVE},
+    "covariance": {"covariance.csv": "separation,cov,ci,observable"},
+    "vertical-derivative": {"curve.csv": CURVE, "fit.csv": FIT},
+    "eta-convergence": {"eta_table.csv": "sample,eta,sup_diff,sup_grad_diff,ratio_to_eta"},
+    "energy-check": {"energy.csv": "lhs,rhs,margin_sigma,passed"},
+    "agmon-check": {"agmon.csv": "sample,mu,lhs,rhs,passed"},
+    "rank-one-check": {"rank_one.csv": "sample,lhs,rhs,relative_error"},
+    "fpp-kesten": {"kesten.csv": "radius,frequency,ci_low,ci_high,threshold"},
+    "cluster-tail": {"diameter_tail.csv": "n,tail_prob,count"},
+    "anchor-1d": {"anchor_moments.csv": "p,moment"},
+    "selftest": {"selftest.csv": "check,value,passed"},
+}
+
+
 class TestEverySubcommand:
     def test_every_runner_has_a_config(self):
         assert set(SMOKE_CONFIGS) == set(TABLES)
+
+    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
+    def test_csv_headers(self, tmp_path, subcommand):
+        out = tmp_path / "out"
+        run(subcommand, write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand]),
+            output_dir=out)
+        headers = {p.name: p.read_text().splitlines()[0] for p in out.glob("*.csv")}
+        assert headers == CSV_HEADERS[subcommand]
 
     @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
     def test_runs_to_a_documented_exit_code(self, tmp_path, subcommand):
@@ -424,6 +465,29 @@ class TestManifest:
         run("selftest", cfg, output_dir=out)
         text = (out / "summary.txt").read_text()
         assert text == "selftest PASS\n"
+
+    @pytest.mark.parametrize("subcommand, given, code, details, csv_text", [
+        ("cluster-tail", SMOKE_CONFIGS["cluster-tail"], 4, {"slope": None}, None),
+        ("energy-check", dict(TINY_1D, n_samples=1), 0, {"margin_sigma": None},
+         ("energy.csv", ",inf,")),
+        # no site reaches gamma, so every gap is censored
+        ("anchor-1d", {"L": 32, "law": {"kind": "uniform01"}, "gamma": 0.9999999999999999,
+                       "n_samples": 5}, 5,
+         {"gap_mean": None, "gap_sem": None, "moments": [None] * 4},
+         ("anchor_moments.csv", "1,nan\n")),
+    ], ids=["cluster-tail", "energy-check", "anchor-1d"])
+    def test_non_finite_details_are_null(self, tmp_path, subcommand, given, code, details,
+                                         csv_text):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        out = tmp_path / "out"
+        assert run(subcommand, write_cfg(tmp_path, "c.json", given), output_dir=out) == code
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["details"].items() >= details.items()
+        if csv_text is not None:     # the CSVs keep nan and inf
+            name, text = csv_text
+            assert text in (out / name).read_text()
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg())

@@ -19,19 +19,19 @@ class TestLawValidation:
 
     def test_bernoulli_q_zero_rejected(self):
         with pytest.raises(LawValidationError):
-            bernoulli(0.0).validate()
+            bernoulli(0.0)
 
     def test_atoms_must_include_zero(self):
         with pytest.raises(LawValidationError):
-            discrete_atoms([0.5, 1.0], [0.5, 0.5]).validate()
+            discrete_atoms([0.5, 1.0], [0.5, 0.5])
 
     def test_atoms_single_support_point_rejected(self):
         with pytest.raises(LawValidationError, match="point mass"):
-            discrete_atoms([0.0, 1.0], [1.0, 0.0]).validate()
+            discrete_atoms([0.0, 1.0], [1.0, 0.0])
 
     def test_atoms_outside_unit_interval_rejected(self):
         with pytest.raises(LawValidationError):
-            discrete_atoms([0.0, 1.5], [0.5, 0.5]).validate()
+            discrete_atoms([0.0, 1.5], [0.5, 0.5])
 
     def test_law_from_dict_round_trip(self):
         law = law_from_dict({"kind": "bernoulli", "q": 0.25})
@@ -125,7 +125,7 @@ class TestResampleSite:
 
     def test_site_outside_box_rejected(self):
         omega = sample_omega(bernoulli(0.5), (8,), 3, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             resample_site(omega, (8,), 0)
 
 

@@ -156,7 +156,7 @@ class TestRankOneIdentity:
     def test_site_outside_box_rejected(self):
         omega = sample_omega(LAW, (16,), 7, 0)
         grid = Grid(d=1, L=16, m=20)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             rank_one_identity_check(omega, (16,), grid, BUMP, 1.0, 1e-3, (40,))
 
 

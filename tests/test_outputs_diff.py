@@ -1,0 +1,68 @@
+"""tools/outputs_diff.py: the cases it runs and how it compares two output directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from test_cli import SMOKE_CONFIGS
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_diff.py"
+spec = importlib.util.spec_from_file_location("outputs_diff", TOOL)
+outputs_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(outputs_diff)
+
+
+def write_output(out, files, **manifest):
+    out.mkdir(parents=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    manifest = dict({"wall_clock_seconds": 1.0}, **manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+FILES = {"curve.csv": "distance,value,ci\n0,1.5,0.25\n1,0.5,nan\n",
+         "summary.txt": "green-decay PASS\n"}
+
+
+def test_cases_are_the_smoke_configs_and_the_benchmark_invocations():
+    cases = outputs_diff.cases()
+    assert [(name, sub) for name, sub, _ in cases] == [(sub, sub) for sub in SMOKE_CONFIGS] + [
+        ("decay-1d-green-decay", "green-decay"),
+        ("influence-2d-vertical-derivative", "vertical-derivative"),
+        ("percolation-2d-fpp-kesten", "fpp-kesten"),
+        ("percolation-2d-cluster-tail", "cluster-tail")]
+    assert [cfg for _, _, cfg in cases[:len(SMOKE_CONFIGS)]] == list(SMOKE_CONFIGS.values())
+
+
+def test_same_data_files_do_not_differ(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_output(a, FILES, details={"slope": float("nan")}, verdict="PASS")
+    write_output(b, FILES, details={"slope": float("nan")}, verdict="PASS",
+                 wall_clock_seconds=2.0)
+    assert outputs_diff.differences(a, b) == []
+    assert outputs_diff.manifest_notes(a, b) == []          # NaN equals NaN; time aside
+    assert outputs_diff.differences(tmp_path / "none", tmp_path / "neither") == []
+
+
+def test_differences_name_the_file_and_line(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_output(a, FILES, details={"slope": float("nan"), "moments": [1.0, 2.0]})
+    changed = dict(FILES, **{"curve.csv": FILES["curve.csv"].replace("0.5,", "0.50001,"),
+                             "summary.txt": "green-decay FAIL\n"})
+    write_output(b, changed, details={"slope": None, "moments": [1.0, 3.0]})
+    assert outputs_diff.differences(a, b) == ["curve.csv differs from line 3",
+                                              "summary.txt differs from line 1"]
+    assert outputs_diff.manifest_notes(a, b) == ["details.moments[1]: 2.0 -> 3.0",
+                                                 "details.slope: nan -> None"]
+
+
+def test_missing_files_and_directories_differ(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_output(a, FILES)
+    write_output(b, {"summary.txt": FILES["summary.txt"]})
+    assert outputs_diff.differences(a, b) == [
+        "files ['curve.csv', 'summary.txt'] vs ['summary.txt']"]
+    assert outputs_diff.differences(a, tmp_path / "absent") == [
+        "files ['curve.csv', 'summary.txt'] vs []"]
+    (b / "summary.txt").write_bytes(b"green-decay PASS\r\n")
+    assert outputs_diff.differences(a, b)[1:] == ["summary.txt differs from line 1"]

@@ -403,7 +403,7 @@ class TestGapStatistic:
 
     def test_site_guard(self):
         omega = omega_from_values(np.ones(11))
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             gap_statistic_1d(omega, 0.5, 11)
 
 

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from landscape_lab.disorder import bernoulli, uniform01
 from landscape_lab import stats
 from landscape_lab.errors import (ConfigurationError, ExperimentError, FitError,
-                                   SingularOperatorError, SolverNonConvergenceError)
+                                   GridMismatchError, LawValidationError,
+                                   SingularOperatorError, SolverFailure,
+                                   SolverNonConvergenceError)
 from landscape_lab.green import all_cell_masses, green_column
 from landscape_lab.landscape import solve_landscape
 from landscape_lab.stats import (ExperimentSetup, MomentCurve,
@@ -36,6 +38,12 @@ def square_unless(i, failing, invalid=frozenset()):
     if i in invalid:
         raise ConfigurationError("invalid sample")
     return i * i
+
+
+def raise_at_7(i, error):
+    if i == 7:
+        raise error("sample 7")
+    return i
 
 
 class TestSampleLoop:
@@ -77,6 +85,20 @@ class TestSampleLoop:
     def test_other_errors_are_raised(self, workers):
         with pytest.raises(ConfigurationError, match="invalid"):
             stats._pool_map(square_unless, 40, workers, set(), {2})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error", SolverFailure.__subclasses__(),
+                             ids=lambda error: error.__name__)
+    def test_each_solver_failure_skips_its_sample(self, workers, error):
+        assert list(stats._pool_map(raise_at_7, 20, workers, error)) == [
+            i for i in range(20) if i != 7]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error", [LawValidationError, GridMismatchError],
+                             ids=lambda error: error.__name__)
+    def test_configuration_errors_are_raised(self, workers, error):
+        with pytest.raises(error, match="sample 7"):
+            stats._pool_map(raise_at_7, 20, workers, error)
 
 
 class TestFitExponentialDecay:

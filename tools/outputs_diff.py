@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Run the CLI on two source trees and report where their outputs differ.
+
+    python3 tools/outputs_diff.py TREE_A TREE_B [--work DIR]
+
+The cases are the ``SMOKE_CONFIGS`` of tests/test_cli.py and the invocations
+of perfbench/workloads.py, both read from this checkout, each run at master
+seed 101 with 1 and with 2 workers.  A run is ``python -m landscape_lab.cli``
+in a fresh interpreter with only that tree's ``src`` on PYTHONPATH, one BLAS
+thread and no bytecode written, in a work directory outside both trees (a
+temporary one unless --work names a new one to keep).  A run differs
+when its exit code, the set of files it wrote or the bytes of a CSV or of
+summary.txt differ; then the tool exits 1.  Manifest values that differ,
+``wall_clock_seconds`` aside, are printed as notes.  Standard library only;
+perfbench/ is read and nothing is written to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = "manifest.json"
+SEED, WORKERS = 101, (1, 2)
+
+
+def smoke_configs(test_module: Path) -> dict:
+    """SMOKE_CONFIGS, from the module-level assignments up to it, run
+    without the test module's imports."""
+    body = []
+    for node in ast.parse(test_module.read_text()).body:
+        if isinstance(node, ast.Assign):
+            body.append(node)
+            if any(getattr(t, "id", None) == "SMOKE_CONFIGS" for t in node.targets):
+                break
+    namespace = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(test_module), "exec"), namespace)
+    return namespace["SMOKE_CONFIGS"]
+
+
+def workloads(path: Path) -> dict:
+    """WORKLOADS of perfbench/workloads.py, executed without writing its bytecode."""
+    module = types.ModuleType("outputs_diff_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module     # its dataclasses look their module up
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module.WORKLOADS
+
+
+def cases() -> list:
+    """(name, subcommand, config): every smoke config, then every benchmark invocation."""
+    found = [(sub, sub, cfg)
+             for sub, cfg in smoke_configs(ROOT / "tests" / "test_cli.py").items()]
+    for name, workload in workloads(ROOT / "perfbench" / "workloads.py").items():
+        found += [(f"{name}-{inv.subcommand}", inv.subcommand, inv.config)
+                  for inv in workload.invocations]
+    return found
+
+
+def run_cli(tree: Path, subcommand: str, config: Path, workers: int, out: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "landscape_lab.cli", subcommand, "--config", str(config),
+           "--output", str(out), "--seed", str(SEED), "--workers", str(workers)]
+    return subprocess.run(cmd, cwd=config.parent, env=env, capture_output=True,
+                          timeout=600).returncode
+
+
+def _data_files(out: Path) -> dict:
+    """name -> bytes of every file in out but the manifest; none if out is absent."""
+    if not out.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != MANIFEST}
+
+
+def differences(a: Path, b: Path) -> list:
+    """How the data files (CSVs and summary.txt) of two output directories differ."""
+    files_a, files_b = _data_files(a), _data_files(b)
+    found = [] if list(files_a) == list(files_b) else [
+        f"files {list(files_a)} vs {list(files_b)}"]
+    for name in sorted(files_a.keys() & files_b.keys()):
+        lines_a, lines_b = files_a[name].splitlines(True), files_b[name].splitlines(True)
+        if lines_a != lines_b:
+            line = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b), 1) if x != y),
+                        min(len(lines_a), len(lines_b)) + 1)
+            found.append(f"{name} differs from line {line}")
+    return found
+
+
+def manifest_notes(a: Path, b: Path) -> list:
+    """The manifest paths whose values differ, wall_clock_seconds aside; NaN equals NaN."""
+    def load(out):
+        path = out / MANIFEST
+        if not path.is_file():
+            return None
+        manifest = json.loads(path.read_text())
+        manifest.pop("wall_clock_seconds", None)
+        return manifest
+
+    notes = []
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                walk(x.get(key, "<absent>"), y.get(key, "<absent>"), f"{path}.{key}")
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, f"{path}[{i}]")
+        elif x != y and not (x != x and y != y):
+            notes.append(f"{path.lstrip('.')}: {x!r} -> {y!r}")
+
+    walk(load(a), load(b), "")
+    return notes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="a new directory that keeps the outputs (default: removed)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = (args.work or Path(tmp) / "work").resolve()
+        work.mkdir(parents=True)
+        runs = differ = 0
+        for name, subcommand, config in cases():
+            config_path = work / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            for workers in WORKERS:
+                outs = [work / side / f"{name}-w{workers}" for side in ("a", "b")]
+                codes = [run_cli(tree, subcommand, config_path, workers, out)
+                         for tree, out in zip((args.tree_a, args.tree_b), outs)]
+                problems = ([] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"])
+                problems += differences(*outs)
+                print(f"{name} workers={workers} exit={codes[0]}: "
+                      + ("; ".join(problems) or "same"))
+                for note in manifest_notes(*outs):
+                    print(f"    manifest {note}")
+                runs, differ = runs + 1, differ + bool(problems)
+        print(f"{runs} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
