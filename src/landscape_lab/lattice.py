@@ -209,16 +209,19 @@ def _tridiagonal_solver(diag: np.ndarray, c: float):
 def _preconditioner(H: HamiltonianSpec):
     """r -> M^-1 r.  1-d Dirichlet: the operator's own inverse, M = H, by cyclic
     reduction.  Else M = -Lap_h + eta + lambda*mean(V), diagonal in a real FFT
-    basis (periodic, numpy.fft) or a DST-II basis (Dirichlet, ghost node half a
-    step out: SPD, inexact; scipy.fft, imported only here).  The factor or the
-    eigenvalues are computed once per call, for every CG step of one solve.
+    basis (periodic, numpy.fft) or in the Dirichlet stencil's own DST-I basis,
+    so M = H exactly when V is constant.  The DST-I is the symmetric orthogonal
+    matrix S[i, j] = sqrt(2/(n+1)) sin(pi (i+1) (j+1) / (n+1)), S S = I,
+    applied by matmul on each axis (fast diagonalization).  The factor, the
+    eigenvalues and S are computed once per call, for every CG step of one solve.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         return _tridiagonal_solver(H.diagonal, float(H.grid.m ** 2))
     n, periodic = H.grid.n_per_side, H.grid.bc == "periodic"
-    # 1-d eigenvalues 4 m^2 sin^2(pi k / n): k = 0..n-1 periodic, 1/2..n/2 DST-II
-    k = np.arange(n) if periodic else np.arange(1, n + 1) / 2.0
-    eig = 4.0 * H.grid.m ** 2 * np.sin(np.pi * k / n) ** 2
+    # 1-d eigenvalues 4 m^2 sin^2(theta_k): pi k / n for k = 0..n-1 periodic,
+    # pi k / (2n + 2) for k = 1..n DST-I
+    theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
+    eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
     axes = [eig] * H.grid.d
     if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
         axes[-1] = eig[:n // 2 + 1]
@@ -226,8 +229,15 @@ def _preconditioner(H: HamiltonianSpec):
     if periodic:
         dims = tuple(range(H.grid.d))
         return lambda r: np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=dims)
-    import scipy.fft as sfft   # only here: a numpy DST-II costs more than the import
-    return lambda r: sfft.idstn(scale * sfft.dstn(r, type=2), type=2, overwrite_x=True)
+    k = np.arange(1, n + 1)   # i j reduced mod 2(n+1), the period, before the sine
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+
+    def sine_transform(y: np.ndarray) -> np.ndarray:
+        y = y @ S              # last axis
+        if y.ndim == 3:
+            y = S @ y          # middle axis
+        return (S @ y.reshape(n, -1)).reshape(y.shape)   # first axis
+    return lambda r: sine_transform(scale * sine_transform(r))
 
 
 def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
@@ -237,7 +247,7 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
     The preconditioner is set up once per call and applied once per step.  On
     1-d Dirichlet grids it is the exact cyclic-reduction inverse, so a solve
     takes one iteration (a non-positive pivot raises SingularOperatorError);
-    on every other grid it is spectral and a solve takes some ten.  Only the
+    on every other grid it is spectral and a solve takes about five.  Only the
     stencil's true residual accepts an answer; a failed check restarts CG from
     it.  A stall (p.Ap <= 0, or a true residual that does not fall between two
     checks) raises like max_iter does, reporting the true relres.  Fixed order

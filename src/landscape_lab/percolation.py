@@ -309,7 +309,8 @@ def anchoring_experiment_1d(law: DisorderLaw, L: int, gamma: float,
                              law, L, gamma, master_seed).values())
     frac = sum(g.censored for g in results) / len(results)
     gaps = np.asarray([g.gap for g in results if not g.censored], dtype=float)
-    moments = tuple(float(np.mean(gaps ** p) ** (1.0 / p)) for p in p_values)
+    moments = tuple(float(np.mean(gaps ** p) ** (1.0 / p)) if gaps.size else np.nan
+                    for p in p_values)
     gap_mean = float(gaps.mean()) if gaps.size else np.nan
     gap_sem = (float(gaps.std(ddof=1) / np.sqrt(gaps.size))
                if gaps.size > 1 else np.nan)

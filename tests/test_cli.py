@@ -476,6 +476,7 @@ class TestManifest:
          {"gap_mean": None, "gap_sem": None, "moments": [None] * 4},
          ("anchor_moments.csv", "1,nan\n")),
     ], ids=["cluster-tail", "energy-check", "anchor-1d"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # e.g. a mean of no gaps
     def test_non_finite_details_are_null(self, tmp_path, subcommand, given, code, details,
                                          csv_text):
         def refuse(constant):
@@ -506,9 +507,14 @@ class TestDeterminism:
         for name in ("curve.csv", "fit.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
-    def test_worker_count_does_not_change_output(self, tmp_path, subcommand):
-        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand])
+    # every smoke config that solves is 1-d; a 2-d Dirichlet solve runs BLAS matmuls
+    @pytest.mark.parametrize("subcommand, config", [
+        *sorted(SMOKE_CONFIGS.items()),
+        ("green-decay", dict(TINY_1D, d=2, L=8, p=1.0, n_samples=2, margin=0,
+                             r_min=1.0, r_max=4.0))],
+        ids=[*sorted(SMOKE_CONFIGS), "green-decay-2d"])
+    def test_worker_count_does_not_change_output(self, tmp_path, subcommand, config):
+        cfg = write_cfg(tmp_path, "c.json", config)
         a, b = tmp_path / "w1", tmp_path / "w2"
         code = run(subcommand, cfg, output_dir=a, workers=1)
         assert run(subcommand, cfg, output_dir=b, workers=2) == code

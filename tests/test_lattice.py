@@ -274,7 +274,7 @@ class TestBandedPreconditioner:
 
 
 class TestSpectralPreconditioner:
-    """Every grid but 1-d Dirichlet: constant-mass Laplacian by FFT or DST-II."""
+    """Every grid but 1-d Dirichlet: constant-mass Laplacian by FFT or DST-I."""
 
     @pytest.mark.parametrize("d, L, m, bc", [
         (1, 32, 20, "periodic"), (2, 8, 11, "dirichlet"), (3, 4, 5, "dirichlet"),
@@ -285,6 +285,17 @@ class TestSpectralPreconditioner:
             x = cg_solve(H, rhs, tol=1e-10)
             rel = TestBandedPreconditioner.rel_error(x, dense_solve_oracle(H, rhs))
             assert rel <= 1e-8
+
+    @pytest.mark.parametrize("d, L, m", [(2, 8, 11), (3, 4, 5)])
+    def test_one_iteration_on_constant_potential(self, d, L, m):
+        # with V constant the Dirichlet DST-I preconditioner is the operator's inverse
+        grid = Grid(d=d, L=L, m=m)
+        H = HamiltonianSpec(grid=grid, potential=ScalarField.constant(grid, 0.7),
+                            lam=1.0, eta=1e-3)
+        for rhs in TestBandedPreconditioner.rhs_cases(grid):
+            x = cg_solve(H, rhs, tol=1e-10, max_iter=1)
+            rel = TestBandedPreconditioner.rel_error(x, dense_solve_oracle(H, rhs))
+            assert rel <= 1e-10
 
     def test_influence_grid_apply_count(self, monkeypatch):
         # the influence-2d benchmark grid; a diagonal preconditioner needs about 835
@@ -300,32 +311,35 @@ class TestSpectralPreconditioner:
         assert len(calls) <= 40
 
 
-# Run in a fresh interpreter: after the import and after each (subcommand,
-# config) run in argv[1] it records the scipy modules loaded so far; a 2-d
-# Dirichlet solve comes last.
+# Run in a fresh interpreter: after the import, after each (subcommand,
+# config) run in argv[1] and after a 2-d and a 3-d Dirichlet solve it records
+# the scipy modules loaded so far.
 NO_SCIPY_PROBE = """
 import json, sys
 from pathlib import Path
 from landscape_lab import cli
 from landscape_lab.lattice import Grid, HamiltonianSpec, ScalarField, cg_solve
 runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
-loaded = {"import": [m for m in sys.modules if m.split(".")[0] == "scipy"]}
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+loaded = {"import": scipy_modules()}
 for i, (name, cfg) in enumerate(runs):
     path = tmp / f"{i}.json"
     path.write_text(json.dumps(cfg))
     assert cli.run(name, path, output_dir=tmp / str(i)) in (0, 4, 5), name
-    loaded[name] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-grid = Grid(d=2, L=4, m=5)
-H = HamiltonianSpec(grid=grid, potential=ScalarField.constant(grid, 0.0), lam=0.0, eta=1.0)
-cg_solve(H, ScalarField.constant(grid, 1.0))
-loaded["2-d dirichlet"] = "scipy.fft" in sys.modules
+    loaded[name] = scipy_modules()
+for d in (2, 3):
+    grid = Grid(d=d, L=4, m=5)
+    H = HamiltonianSpec(grid=grid, potential=ScalarField.constant(grid, 0.0),
+                        lam=0.0, eta=1.0)
+    cg_solve(H, ScalarField.constant(grid, 1.0))
+    loaded[f"{d}-d dirichlet"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 class TestScipyFreeRuntime:
-    """scipy is loaded only by Dirichlet solves with d >= 2 (its DST-II), the
-    direct oracle and selftest."""
+    """scipy is loaded only by the direct oracle and selftest."""
 
     def test_cli_paths_load_no_scipy(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
@@ -338,15 +352,18 @@ class TestScipyFreeRuntime:
             ("fpp-kesten", {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
                             "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}),
             ("cluster-tail", {"d": 2, "L": 33, "law": law, "gamma": 0.5, "k": 3,
-                              "n_samples": 2})]
+                              "n_samples": 2}),
+            ("vertical-derivative", {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"},
+                                     "lambda": 1.0, "eta": 1e-3, "z_offsets": [1, 2, 3],
+                                     "n_samples": 1})]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(runs),
                               str(tmp_path)], env=env, check=True,
                              capture_output=True, text=True).stdout
         loaded = json.loads(out.strip().splitlines()[-1])
-        assert loaded.pop("2-d dirichlet") is True
-        assert loaded == {key: [] for key in ["import", *(name for name, _ in runs)]}
+        keys = ["import", *(name for name, _ in runs), "2-d dirichlet", "3-d dirichlet"]
+        assert loaded == {key: [] for key in keys}
 
 
 class TestStall:
