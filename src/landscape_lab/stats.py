@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -98,6 +97,8 @@ def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
     if workers <= 1:
         outcomes = [_attempt(fn, i, args) for i in range(n_samples)]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # serial runs never load the pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_attempt, repeat(fn), range(n_samples), repeat(args),
                                      chunksize=max(1, n_samples // (4 * workers))))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,44 @@ class TestSampling:
         omega = sample_omega(bernoulli(0.5), (8,), 0, 0)
         with pytest.raises(ValueError):
             omega.values[0] = 0.5
+
+
+# sha256 of the float64 bytes of sample_omega(law, box, 101, 0).values: they fix
+# every bit of the site-hash stream.  32769 sites end in a one-site block.
+GOLDEN_FIELDS = {
+    ("uniform01", (513, 513)): "187a3aab3e95882e1c3198d73760e440e7ba1b72142ce7296c8bafb8861345c0",
+    ("uniform01", (257, 257)): "838a7b499d3f8e02edeafed7b87dc26901414722a779ec8d851d04568641ec4a",
+    ("uniform01", (5, 5, 5)): "a30ad2cbcd3b0533a8b889080c9537c5dd455cc132dbcb45aac8c6957f56f584",
+    ("uniform01", (1,)): "b28e08b6c852925292888ab6595bfbda21bd45a81155a82312c94c1722795f1e",
+    ("uniform01", (32769,)): "6005cefc505f298d390beb88b615d1c61a1c74b30b31ae87f2f9563720d09ae0",
+    ("bernoulli", (513, 513)): "e82572e8d69921bc6d3c6db2fc524f21b28a43190c8867d10dd8333c31696640",
+    ("bernoulli", (257, 257)): "f9d41d0044e5cd4ff2ea04be89cb668b0fafb97dc36e011d375f2e24dbf38f59",
+    ("bernoulli", (5, 5, 5)): "8db9e86caccf7e8fcb9b2a481e460ffb5cc12712130598dc9b3404d367b1fde2",
+    ("bernoulli", (1,)): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ("bernoulli", (32769,)): "146fa742ba8cb5fe47b201b52b7842af4ce0aa12b70b6b659bb03eb53498bfe5",
+}
+# the same for resample_site(sample_omega(law, (5, 5, 5), 101, 2), (1, 2, 3), 9)
+GOLDEN_RESAMPLED = {
+    "uniform01": "2bda4e49b13a8f7dacaee6d8a169b8f382ff33cb5aaec03388527c5094a4a23c",
+    "bernoulli": "aca30ac87d0acad78bb5a970fdfd2c8a2e251fb0ed38ddd519ec536ad013b6d5",
+}
+LAWS = {"uniform01": uniform01(), "bernoulli": bernoulli(0.5)}
+
+
+def digest(omega) -> str:
+    return hashlib.sha256(omega.values.tobytes()).hexdigest()
+
+
+class TestHashStream:
+    @pytest.mark.parametrize("law, box", sorted(GOLDEN_FIELDS),
+                             ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
+    def test_field_bits_fixed(self, law, box):
+        assert digest(sample_omega(LAWS[law], box, 101, 0)) == GOLDEN_FIELDS[law, box]
+
+    @pytest.mark.parametrize("law", sorted(GOLDEN_RESAMPLED))
+    def test_resampled_bits_fixed(self, law):
+        omega = resample_site(sample_omega(LAWS[law], (5, 5, 5), 101, 2), (1, 2, 3), 9)
+        assert digest(omega) == GOLDEN_RESAMPLED[law]
 
 
 class TestResampleSite:

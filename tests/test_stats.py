@@ -1,3 +1,10 @@
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,7 +78,7 @@ class TestSampleLoop:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
         serial = stats._pool_map(square_unless, 40, 1, set())
         assert stats._pool_map(square_unless, 40, 100_000, set()) == serial
@@ -99,6 +106,55 @@ class TestSampleLoop:
     def test_configuration_errors_are_raised(self, workers, error):
         with pytest.raises(error, match="sample 7"):
             stats._pool_map(raise_at_7, 20, workers, error)
+
+
+# Run in a fresh interpreter: after the import and after each (subcommand,
+# config, workers) run in argv[1] it records the process-pool modules loaded
+# so far.
+POOL_PROBE = """
+import json, sys
+from pathlib import Path
+from landscape_lab import cli
+runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
+def pool_modules():
+    return sorted(m for m in sys.modules if m == "concurrent.futures.process"
+                  or m.split(".")[0] == "multiprocessing")
+loaded = {"import": pool_modules()}
+for name, cfg, workers in runs:
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp / f"{name}-w{workers}"
+    assert cli.run(name, path, output_dir=out, workers=workers) in (0, 4, 5), name
+    loaded[out.name] = pool_modules()
+print(json.dumps(loaded))
+"""
+
+
+class TestPoolImport:
+    """Serial runs never load the process pool."""
+
+    def test_serial_runs_load_no_pool(self, tmp_path):
+        law = {"kind": "bernoulli", "q": 0.5}
+        green = {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0, "eta": 1e-3,
+                 "p": 1.0, "n_samples": 4, "margin": 2, "r_min": 1.0, "r_max": 5.0}
+        runs = [("fpp-kesten", {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
+                                "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}, 1),
+                ("green-decay", green, 1), ("green-decay", green, 2)]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", POOL_PROBE, json.dumps(runs),
+                              str(tmp_path)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        loaded = json.loads(out.strip().splitlines()[-1])
+        assert loaded["import"] == loaded["fpp-kesten-w1"] == loaded["green-decay-w1"] == []
+        if (os.cpu_count() or 1) > 1:   # the pool ran, and the probe sees it
+            assert {"concurrent.futures.process", "multiprocessing"} <= set(
+                loaded["green-decay-w2"])
+        serial, pooled = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
+        names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+        assert "summary.txt" in names
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
 class TestFitExponentialDecay:
