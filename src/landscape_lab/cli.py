@@ -24,6 +24,7 @@ leave the files written before it.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -525,6 +526,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None)
     args = parser.parse_args(argv)
+    # The import-time heap lives until exit: frozen, it is skipped by every
+    # later collection, those of interpreter shutdown included, and pool
+    # workers forked from here inherit the frozen state.
+    gc.freeze()
     return run(args.subcommand, args.config, output_dir=args.output,
                workers=args.workers, seed=args.seed)
 

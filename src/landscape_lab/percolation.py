@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError
@@ -83,16 +82,17 @@ def _coarse_side(L: int, k: int) -> int:
 
 def _strided_window_max(a: np.ndarray, axis: int, start: int, step: int,
                         count: int, w: int) -> np.ndarray:
-    """Max over sites within w of start, start + step, ... (count centers) on axis.
+    """Max over sites within w of start, start + step, ... (count centers) on axis,
+    each window clipped to the box.
 
-    Edge padding repeats the boundary site, which equals clipping the
-    window to the box.
+    One pass per window offset takes the count rows at that offset from every
+    center, so only those rows are read and the field is never copied whole.
     """
-    pad = [(w, w) if j == axis else (0, 0) for j in range(a.ndim)]
-    win = sliding_window_view(np.pad(a, pad, mode="edge"), 2 * w + 1, axis=axis)
-    centers = [slice(None)] * a.ndim
-    centers[axis] = slice(start, start + step * (count - 1) + 1, step)
-    return win[tuple(centers)].max(axis=-1)
+    centers, last = start + step * np.arange(count), a.shape[axis] - 1
+    out = np.take(a, np.clip(centers - w, 0, last), axis=axis)
+    for off in range(1 - w, w + 1):
+        np.maximum(out, np.take(a, np.clip(centers + off, 0, last), axis=axis), out=out)
+    return out
 
 
 def coarse_grain(omega: OmegaField, k: int, gamma: float) -> CoarseGraph:

@@ -163,6 +163,16 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
     return MomentCurve(distances=np.asarray(dists, dtype=float), values=values, ci=ci)
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a 1-d array, the same float, without np.median's NaN
+    check, which imports numpy.ma."""
+    s = np.sort(a)
+    if np.isnan(s[-1]):     # sorting puts NaN last
+        return s[-1]
+    mid = s.size // 2
+    return s[mid] if s.size % 2 else 0.5 * (s[mid - 1] + s[mid])
+
+
 def fit_exponential_decay(curve: MomentCurve, r_min: float, r_max: float) -> DecayFit:
     """Weighted least squares of log(value) on distance; rate = -slope."""
     if r_min >= r_max:
@@ -179,7 +189,7 @@ def fit_exponential_decay(curve: MomentCurve, r_min: float, r_max: float) -> Dec
         w = np.ones_like(y)
     else:
         w = 1.0 / sig ** 2
-        w = np.minimum(w, 1e4 * np.median(w))   # clamp runaway weights
+        w = np.minimum(w, 1e4 * _median(w))   # clamp runaway weights
     W = w.sum()
     rbar = float(np.dot(w, r)) / W
     ybar = float(np.dot(w, y)) / W

@@ -1,5 +1,9 @@
+import gc
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +404,10 @@ class TestOutputDirectory:
         monkeypatch.setattr(Path, "mkdir", deny)
         cfg = write_cfg(tmp_path, "c.json", {})
         argv = ["selftest", "--config", str(cfg), "--output", str(tmp_path / "out")]
-        assert cli.main(argv) == 2
+        try:
+            assert cli.main(argv) == 2
+        finally:
+            gc.unfreeze()   # main froze this process's heap; later tests keep a normal collector
         err = capsys.readouterr().err
         assert err.startswith("output error: [Errno 13] Permission denied")
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -530,6 +537,43 @@ class TestDeterminism:
         run("green-decay", cfg, output_dir=a, seed=1)
         run("green-decay", cfg, output_dir=b, seed=2)
         assert (a / "curve.csv").read_bytes() != (b / "curve.csv").read_bytes()
+
+
+# Run in a fresh interpreter: green-decay through cli.run at 2 workers, then
+# through cli.main at 1 and 2 workers; prints gc.get_freeze_count() after each.
+FREEZE_PROBE = """
+import gc, json, sys
+from landscape_lab import cli
+cfg, tmp = sys.argv[1:]
+counts = []
+for entry, workers in (("run", 2), ("main", 1), ("main", 2)):
+    out = f"{tmp}/{entry}-w{workers}"
+    if entry == "run":
+        assert cli.run("green-decay", cfg, output_dir=out, workers=workers) == 0
+    else:
+        argv = ["green-decay", "--config", cfg, "--output", out, "--workers", str(workers)]
+        assert cli.main(argv) == 0
+    counts.append(gc.get_freeze_count())
+print(json.dumps(counts))
+"""
+
+
+class TestMainFreeze:
+    def test_main_freezes_the_heap_and_run_does_not(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", green_cfg())
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", FREEZE_PROBE, str(cfg), str(tmp_path)],
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                             capture_output=True, text=True).stdout
+        after_run, after_main, _ = json.loads(out.strip().splitlines()[-1])
+        assert after_run == 0 < after_main
+        # frozen or not, serial or pooled: the same bytes
+        runs = [tmp_path / name for name in ("run-w2", "main-w1", "main-w2")]
+        names = sorted(p.name for p in runs[0].iterdir() if p.name != "manifest.json")
+        assert "summary.txt" in names
+        for other in runs[1:]:
+            for name in names:
+                assert (runs[0] / name).read_bytes() == (other / name).read_bytes(), name
 
 
 def fail_calls(monkeypatch, module, name, failing):

@@ -109,29 +109,29 @@ class TestSampleLoop:
 
 
 # Run in a fresh interpreter: after the import and after each (subcommand,
-# config, workers) run in argv[1] it records the process-pool modules loaded
-# so far.
+# config, workers) run in argv[1] it records the process-pool modules and
+# numpy.ma, if loaded so far.
 POOL_PROBE = """
 import json, sys
 from pathlib import Path
 from landscape_lab import cli
 runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
-def pool_modules():
-    return sorted(m for m in sys.modules if m == "concurrent.futures.process"
+def watched():
+    return sorted(m for m in sys.modules if m in ("concurrent.futures.process", "numpy.ma")
                   or m.split(".")[0] == "multiprocessing")
-loaded = {"import": pool_modules()}
+loaded = {"import": watched()}
 for name, cfg, workers in runs:
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(cfg))
     out = tmp / f"{name}-w{workers}"
     assert cli.run(name, path, output_dir=out, workers=workers) in (0, 4, 5), name
-    loaded[out.name] = pool_modules()
+    loaded[out.name] = watched()
 print(json.dumps(loaded))
 """
 
 
 class TestPoolImport:
-    """Serial runs never load the process pool."""
+    """Serial runs never load the process pool, and no run loads numpy.ma."""
 
     def test_serial_runs_load_no_pool(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
@@ -150,6 +150,7 @@ class TestPoolImport:
         if (os.cpu_count() or 1) > 1:   # the pool ran, and the probe sees it
             assert {"concurrent.futures.process", "multiprocessing"} <= set(
                 loaded["green-decay-w2"])
+        assert "numpy.ma" not in loaded["green-decay-w2"]
         serial, pooled = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
         names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
         assert "summary.txt" in names
@@ -158,6 +159,14 @@ class TestPoolImport:
 
 
 class TestFitExponentialDecay:
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [5.0, 1.0, 4.0], [1e-3, 7.0, 2.5, 1e4],
+        [2.0, 2.0, 1.0, 2.0, 9.0], [0.1, 0.2, 0.2, 0.1], [1.0, np.nan, 3.0],
+        [np.nan, 2.0, 1.0, 4.0], [0.1 + 0.2, 0.3, 1 / 3, 2 / 3, 1.0, 5e-324]])
+    def test_median_is_numpys(self, values):
+        a = np.array(values)
+        assert np.array_equal(stats._median(a), np.median(a), equal_nan=True)
+
     def test_exact_on_noiseless_exponential(self):
         fit = fit_exponential_decay(synthetic_curve(0.3, 2.0), 2.0, 25.0)
         assert abs(fit.rate - 0.3) < 1e-10
