@@ -36,11 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .disorder import default_bump, law_from_dict, sample_omega
-from .errors import ConfigurationError, ExperimentError, FitError, SolverFailure
+from .disorder import (DisorderLaw, bernoulli, default_bump, discrete_atoms,
+                       sample_omega, uniform01)
+from .errors import (ConfigurationError, ExperimentError, FitError, LawValidationError,
+                     SolverFailure)
 from .green import (agmon_inequality_check, all_cell_masses, green_column,
                     massive_domination_check, rank_one_identity_check)
-from .landscape import (derived_fields, energy_estimate_check,
+from .landscape import (derived_fields, energy_report, energy_terms,
                         eta_convergence_study, solve_landscape)
 from .lattice import (_MAX_NODES, Grid, HamiltonianSpec, ScalarField,
                       apply_hamiltonian, cell_reduce, cg_solve, dense_solve_oracle)
@@ -99,8 +101,9 @@ def _no_file_on(path, cfg):
 
 
 _POSITIVE = ("> 0", lambda v, cfg: v > 0)
+_WORD = ("in [0, 2**64)", lambda v, cfg: 0 <= v < 2 ** 64)   # a word of the site hash
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
-_BASE = {"master_seed": Key(int, 0), "workers": Key(int, 1, _at_least(1)),
+_BASE = {"master_seed": Key(int, 0, _WORD), "workers": Key(int, 1, _at_least(1)),
          "tol": Key(float, ExperimentSetup.tol, _POSITIVE),
          "output_dir": Key(str, None, ("a directory, not a file or under one",
                                        _no_file_on))}
@@ -114,6 +117,9 @@ _MARGIN = Key(int, ExperimentSetup.margin,
               ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
 _K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"]),
          _at_least(1))
+# each lambda names its curve file by its :g form: two that print alike would share one
+_DISTINCT_LAMBDAS = ("positive and distinct under :g", lambda v, cfg: v > 0 and [
+    f"{x:g}" for x in cfg["lambdas"]].count(f"{v:g}") == 1)
 _ABOVE_R_MIN = ("> r_min", lambda v, cfg: v > cfg["r_min"])
 _FIT_WINDOW = {"r_min": Key(float, 5.0), "r_max": Key(float, 40.0, _ABOVE_R_MIN)}
 # the percolation site box; the 1-d anchoring box has no d, and L**d is not
@@ -126,6 +132,11 @@ _LATTICE = {"d": Key(int, rule=("in {1, 2, 3}", lambda v, cfg: v in (1, 2, 3))),
 
 def _operator(*without):
     return {key: spec for key, spec in _OPERATOR.items() if key not in without}
+
+
+def _type_name(want) -> str:
+    name = f"a non-empty list of {want[0].__name__}" if isinstance(want, list) else want.__name__
+    return name.replace("float", "finite float")
 
 
 def _typed(val, want):
@@ -156,10 +167,7 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         if key in cfg:
             out[key] = _typed(cfg[key], spec.type)
             if out[key] is None:
-                name = (f"a non-empty list of {spec.type[0].__name__}"
-                        if isinstance(spec.type, list) else spec.type.__name__)
-                name = name.replace("float", "finite float")
-                errors.append(f"key {key!r} must be {name}")
+                errors.append(f"key {key!r} must be {_type_name(spec.type)}")
         elif spec.default is REQUIRED:
             errors.append(f"missing required key {key!r}")
     if errors:
@@ -177,6 +185,32 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
     if errors:
         raise ConfigurationError("; ".join(errors))
     return out
+
+
+# per law kind: its factory and the type of each keyword field it takes
+_LAWS = {"bernoulli": (bernoulli, {"q": float}), "uniform01": (uniform01, {}),
+         "discrete_atoms": (discrete_atoms, {"values": [float], "probs": [float]})}
+
+
+def law_from_dict(d: dict) -> DisorderLaw:
+    """A law from its config mapping, e.g. {'kind': 'bernoulli', 'q': 0.5}.
+
+    Every field the kind takes is required and typed like a config key; a
+    field it does not take is an error, not silently dropped.
+    """
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise LawValidationError(f"unknown law kind {kind!r}")
+    factory, fields = _LAWS[kind]
+    unused = sorted(set(d) - {"kind", *fields})
+    if unused:
+        raise LawValidationError(f"law kind {kind!r} takes no field {unused}")
+    args = {key: _typed(d.get(key), want) for key, want in fields.items()}
+    bad = [f"law field {key!r} must be {_type_name(fields[key])}"
+           for key, val in args.items() if val is None]
+    if bad:
+        raise LawValidationError("; ".join(bad))
+    return factory(**args)
 
 
 def _setup(cfg: dict, **fixed) -> ExperimentSetup:
@@ -278,13 +312,15 @@ def _run_eta_convergence(cfg, tables):
 
 
 def _energy_sample(i, setup, cfg):
-    return solve_landscape(setup.hamiltonian(cfg["master_seed"], i), tol=setup.tol)
+    """The sample's two cell averages; the solution stays in the worker."""
+    return energy_terms(solve_landscape(setup.hamiltonian(cfg["master_seed"], i),
+                                        tol=setup.tol))
 
 
 def _run_energy_check(cfg, tables):
-    sols = _pool_map(_energy_sample, cfg["n_samples"], cfg["workers"],
-                     _setup(cfg, bc="periodic"), cfg)
-    report = energy_estimate_check(list(sols.values()))
+    terms = _pool_map(_energy_sample, cfg["n_samples"], cfg["workers"],
+                      _setup(cfg, bc="periodic"), cfg)
+    report = energy_report(list(terms.values()))
     tables["energy.csv"] = (["lhs", "rhs", "margin_sigma", "passed"],
                             [[report.lhs, report.rhs, report.margin_sigma, report.passed]])
     return report.passed, asdict(report)
@@ -371,8 +407,7 @@ def _run_anchor_1d(cfg, tables):
 def _run_selftest(cfg, tables):
     """Quick structural checks with a direct-factorization cross-check."""
     checks = []
-    law = law_from_dict({"kind": "bernoulli", "q": 0.5})
-    setup = ExperimentSetup(d=1, L=8, m=20, law=law, lam=1.0, eta=0.1)
+    setup = ExperimentSetup(d=1, L=8, m=20, law=bernoulli(0.5), lam=1.0, eta=0.1)
     omega = setup.omega(cfg["master_seed"], 0)
     H = setup.operator(omega)
     grid = H.grid
@@ -415,11 +450,11 @@ def _run_selftest(cfg, tables):
 
 TABLES = {name: (runner, {**_BASE, **keys}) for name, (runner, keys) in {
     "solve-landscape": (_run_solve_landscape,
-                        {**_OPERATOR, "sample_index": Key(int, 0, _at_least(0))}),
+                        {**_OPERATOR, "sample_index": Key(int, 0, _WORD)}),
     "green-decay": (_run_green_decay, {**_OPERATOR, "p": _P, "n_samples": _N_SAMPLES,
                                        "margin": _MARGIN, **_FIT_WINDOW}),
     "lambda-scaling": (_run_lambda_scaling, {
-        **_operator("lambda", "eta"), "lambdas": Key([float], rule=_POSITIVE), "p": _P,
+        **_operator("lambda", "eta"), "lambdas": Key([float], rule=_DISTINCT_LAMBDAS), "p": _P,
         "n_samples": _N_SAMPLES, "margin": _MARGIN, **_FIT_WINDOW}),
     "covariance": (_run_covariance, {**_OPERATOR, "observable": Key(str),
                                      "separations": Key([int]), "n_samples": _N_SAMPLES,

@@ -12,7 +12,6 @@ never changes its bits.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,59 +71,44 @@ def _site_uniforms(master_seed: int, sample_index: int, stream: int, first: int,
 
 @dataclass(frozen=True)
 class DisorderLaw:
-    """Law of a single site amplitude; values in [0,1], infimum of support 0.
-    Construction raises LawValidationError for a law that breaks this."""
+    """Law of a single site amplitude: uniform on [0,1] when values and probs are
+    empty, otherwise the atom table values/probs, drawn by inverse CDF in the
+    order it is stored.  The probs form a simplex, the atoms lie in [0,1], and
+    the support (the atoms of positive probability) holds two values or more,
+    the smallest 0; construction raises LawValidationError otherwise."""
 
-    kind: str                      # 'bernoulli' | 'uniform01' | 'discrete_atoms'
-    q: float | None = None         # bernoulli: P[w = 1]
-    values: tuple = ()             # discrete_atoms
+    values: tuple = ()
     probs: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "bernoulli":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise LawValidationError(
-                    f"bernoulli requires 0 < q < 1 (law is a point mass otherwise), got q={self.q}")
-        elif self.kind == "uniform01":
-            pass
-        elif self.kind == "discrete_atoms":
-            v = np.asarray(self.values, dtype=float)
-            p = np.asarray(self.probs, dtype=float)
-            if v.size != p.size or v.size < 2:
-                raise LawValidationError("discrete_atoms needs >= 2 atoms with matching probs")
-            if np.any(v < 0.0) or np.any(v > 1.0):
-                raise LawValidationError("atom values must lie in [0,1]")
-            if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-                raise LawValidationError("probs must be a probability simplex")
-            if np.count_nonzero(p > 0.0) < 2:
-                raise LawValidationError("law is a point mass")
-            if v[np.argmin(v)] != 0.0 or p[np.argmin(v)] <= 0.0:
-                raise LawValidationError("infimum of the support must be 0 with positive mass")
-        else:
-            raise LawValidationError(f"unknown law kind {self.kind!r}")
+        if not self.values and not self.probs:
+            return
+        v = np.asarray(self.values, dtype=float)
+        p = np.asarray(self.probs, dtype=float)
+        if v.shape != p.shape:
+            raise LawValidationError("atom values and probs must have the same length")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
+            raise LawValidationError("atom values must lie in [0,1]")
+        if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise LawValidationError("probs must be a probability simplex")
+        support = v[p > 0.0]
+        if np.all(support == support[0]):
+            raise LawValidationError("law is a point mass")
+        if support.min() != 0.0:
+            raise LawValidationError("infimum of the support must be 0 with positive mass")
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF transform of uniforms to site amplitudes."""
-        if self.kind == "bernoulli":
-            return (u < self.q).astype(float)
-        if self.kind == "uniform01":
+        if not self.values:
             return np.asarray(u, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        order = np.argsort(v)
-        cum = np.cumsum(p[order])
-        idx = np.searchsorted(cum, u, side="right")
-        return v[order][np.minimum(idx, v.size - 1)]
+        idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
+        return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
     def prob_lt(self, x: float) -> float:
         """P[w < x]."""
-        if self.kind == "bernoulli":
-            return (0.0 if x <= 0.0 else (1.0 - self.q if x <= 1.0 else 1.0))
-        if self.kind == "uniform01":
+        if not self.values:
             return float(np.clip(x, 0.0, 1.0))
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        return float(p[v < x].sum())
+        return float(np.asarray(self.probs)[np.asarray(self.values) < x].sum())
 
     def prob_ge(self, x: float) -> float:
         return 1.0 - self.prob_lt(x)
@@ -132,63 +116,28 @@ class DisorderLaw:
     def upper_quantile(self) -> float:
         """Largest threshold g with P[w >= g] >= 1/4 (the default gamma)."""
         tail = 0.25
-        if self.kind == "bernoulli":
-            return 1.0 if self.q >= tail else 0.0
-        if self.kind == "uniform01":
+        if not self.values:
             return 1.0 - tail
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        order = np.argsort(v)[::-1]
-        cum = np.cumsum(p[order])
-        return float(v[order][np.searchsorted(cum, tail, side="left")])
+        v, p = np.asarray(self.values), np.asarray(self.probs)
+        return float(max(g for g in v if p[v >= g].sum() >= tail))
 
 
 def bernoulli(q: float) -> DisorderLaw:
-    return DisorderLaw(kind="bernoulli", q=q)
+    """w = 1 with probability q: the atom 1 is stored first, so w = 1 exactly when u < q."""
+    return DisorderLaw(values=(1.0, 0.0), probs=(q, 1.0 - q))
 
 
 def uniform01() -> DisorderLaw:
-    return DisorderLaw(kind="uniform01")
+    return DisorderLaw()
 
 
 def discrete_atoms(values, probs) -> DisorderLaw:
-    return DisorderLaw(kind="discrete_atoms", values=tuple(values), probs=tuple(probs))
-
-
-def _number(x, key: str) -> float:
-    """x as a float; JSON's NaN and Infinity, and ints past the float range, fail."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
-        raise LawValidationError(f"law field {key!r} must be a finite number, got {x!r}")
-    return float(x)
-
-
-def _numbers(d: dict, key: str) -> list:
-    if not isinstance(d.get(key), list):
-        raise LawValidationError(
-            f"law field {key!r} must be a list of numbers, got {d.get(key)!r}")
-    return [_number(x, key) for x in d[key]]
-
-
-_LAW_FIELDS = {"bernoulli": {"kind", "q"}, "uniform01": {"kind"},
-               "discrete_atoms": {"kind", "values", "probs"}}
-
-
-def law_from_dict(d: dict) -> DisorderLaw:
-    """Build a law from a config mapping, e.g. {'kind': 'bernoulli', 'q': 0.5}.
-
-    A field the kind does not use is an error, not silently dropped.
-    """
-    kind = d.get("kind")
-    if not isinstance(kind, str) or kind not in _LAW_FIELDS:
-        raise LawValidationError(f"unknown law kind {kind!r}")
-    unused = sorted(set(d) - _LAW_FIELDS[kind])
-    if unused:
-        raise LawValidationError(f"law kind {kind!r} takes no field {unused}")
-    if kind == "bernoulli":
-        return bernoulli(_number(d.get("q"), "q"))
-    if kind == "uniform01":
-        return uniform01()
-    return discrete_atoms(_numbers(d, "values"), _numbers(d, "probs"))
+    """The atom table, stored (and so drawn) in increasing value order."""
+    v, p = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
+    if v.size == 0 or v.shape != p.shape:
+        raise LawValidationError("discrete_atoms needs atoms with matching probs")
+    order = np.argsort(v)
+    return DisorderLaw(values=tuple(v[order].tolist()), probs=tuple(p[order].tolist()))
 
 
 @dataclass(frozen=True)

@@ -79,19 +79,26 @@ def energy_estimate_check(samples) -> EnergyReport:
     """Stationary energy bound: average cell Dirichlet energy <= average of u."""
     if any(s.spec.grid.bc != "periodic" for s in samples):
         raise ConfigurationError("energy estimate requires periodic samples")
-    lhs_s, rhs_s = [], []
-    for s in samples:
-        grid = s.spec.grid
-        n_cells = grid.L ** grid.d
-        grad2 = forward_gradient_sq(s.u.values, grid, boundary="auto")
-        lhs_s.append(float(grad2.sum()) * grid.h ** grid.d / n_cells)
-        rhs_s.append(float(s.u.values.sum()) * grid.h ** grid.d / n_cells)
-    lhs_s = np.asarray(lhs_s)
-    rhs_s = np.asarray(rhs_s)
+    return energy_report([energy_terms(s) for s in samples])
+
+
+def energy_terms(sol: LandscapeSolution) -> tuple:
+    """A sample's cell averages of the Dirichlet energy and of u."""
+    grid = sol.spec.grid
+    n_cells = grid.L ** grid.d
+    grad2 = forward_gradient_sq(sol.u.values, grid, boundary="auto")
+    return (float(grad2.sum()) * grid.h ** grid.d / n_cells,
+            float(sol.u.values.sum()) * grid.h ** grid.d / n_cells)
+
+
+def energy_report(terms) -> EnergyReport:
+    """The energy check from per-sample (lhs, rhs) pairs of energy_terms."""
+    lhs_s = np.asarray([lhs for lhs, _ in terms])
+    rhs_s = np.asarray([rhs for _, rhs in terms])
     lhs, rhs = float(lhs_s.mean()), float(rhs_s.mean())
     gap = rhs_s - lhs_s
-    if len(samples) > 1 and gap.std(ddof=1) > 0.0:
-        sem = gap.std(ddof=1) / np.sqrt(len(samples))
+    if len(terms) > 1 and gap.std(ddof=1) > 0.0:
+        sem = gap.std(ddof=1) / np.sqrt(len(terms))
         margin_sigma = float(gap.mean() / sem)
     else:
         margin_sigma = np.inf if gap.mean() >= 0 else -np.inf

@@ -121,12 +121,6 @@ class HamiltonianSpec:
         return (2.0 * self.grid.d * self.grid.m ** 2
                 + self.lam * self.potential.values + self.eta)
 
-    def __getstate__(self):
-        """Pickle without the cached diagonal; the copy recomputes it on first use."""
-        state = dict(self.__dict__)
-        state.pop("diagonal", None)
-        return state
-
 
 def _neighbor_sum(values: np.ndarray, bc: str) -> np.ndarray:
     out = np.zeros_like(values)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from landscape_lab import cli, stats
-from landscape_lab.cli import TABLES, _setup, run, validate_config, write_csv
-from landscape_lab.disorder import law_from_dict
+from landscape_lab.cli import TABLES, _setup, law_from_dict, run, validate_config, write_csv
 from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
 from landscape_lab.green import agmon_inequality_check, green_column
 from landscape_lab.landscape import solve_landscape
@@ -68,6 +67,14 @@ class TestValidateConfig:
         del cfg["r_min"]
         with pytest.raises(ConfigurationError, match="margin"):
             validate_config("green-decay", cfg)
+
+    @pytest.mark.parametrize("key", ["master_seed", "sample_index"])
+    def test_seed_words_are_64_bit(self, key):
+        top = validate_config("solve-landscape", dict(TINY_1D, **{key: 2 ** 64 - 1}))
+        assert top[key] == 2 ** 64 - 1
+        for bad in (-1, 2 ** 64):
+            with pytest.raises(ConfigurationError, match=rf"{key} must be in \[0, 2\*\*64\)"):
+                validate_config("solve-landscape", dict(TINY_1D, **{key: bad}))
 
     def test_defaults_filled(self):
         out = validate_config("green-decay", green_cfg())
@@ -286,6 +293,9 @@ class TestEverySubcommand:
         # both set: 2d m^2 + lambda*max V + eta overflows to inf
         pytest.param("solve-landscape", "lambda,eta", 1e308,
                      id="solve-landscape-lambda,eta-1e308"),
+        # both would name curve_lambda_1.csv
+        ("lambda-scaling", "lambdas", [1.0, 1.0000001]),
+        ("lambda-scaling", "lambdas", [2.0, 2.0]),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         given = dict(SMOKE_CONFIGS[subcommand], **dict.fromkeys(key.split(","), value))
@@ -334,6 +344,14 @@ class TestEverySubcommand:
     def test_nonpositive_workers_flag_exits_2(self, tmp_path, workers):
         cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS["green-decay"])
         assert run("green-decay", cfg, output_dir=tmp_path / "out", workers=workers) == 2
+
+    @pytest.mark.parametrize("subcommand", ["green-decay", "covariance", "solve-landscape"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_outside_64_bits_exits_2(self, tmp_path, capsys, subcommand, seed):
+        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand])
+        assert run(subcommand, cfg, output_dir=tmp_path / "out", seed=seed) == 2
+        assert "master_seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand", ["green-decay", "lambda-scaling"])
     @pytest.mark.parametrize("p", [0, -1.0])

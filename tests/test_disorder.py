@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import omega_from_values
-from landscape_lab.disorder import (BumpProfile, bernoulli, default_bump,
-                                    discrete_atoms, law_from_dict,
-                                    assemble_potential, resample_site,
+from landscape_lab.cli import law_from_dict
+from landscape_lab.disorder import (BumpProfile, DisorderLaw, bernoulli, default_bump,
+                                    discrete_atoms, assemble_potential, resample_site,
                                     sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError
 from landscape_lab.lattice import Grid
@@ -37,7 +37,7 @@ class TestLawValidation:
 
     def test_law_from_dict_round_trip(self):
         law = law_from_dict({"kind": "bernoulli", "q": 0.25})
-        assert law.q == 0.25
+        assert law == bernoulli(0.25)
         with pytest.raises(LawValidationError):
             law_from_dict({"kind": "gaussian"})
 
@@ -52,6 +52,34 @@ class TestLawValidation:
         law = discrete_atoms([0.0, 0.3, 1.0], [0.2, 0.3, 0.5])
         assert law.prob_lt(0.3) == pytest.approx(0.2)
         assert law.prob_ge(0.3) == pytest.approx(0.8)
+
+    def test_repeated_atom_is_a_point_mass(self):
+        with pytest.raises(LawValidationError, match="point mass"):
+            discrete_atoms([0.0, 0.0], [0.5, 0.5])
+
+    def test_zero_probability_atom_is_not_in_the_support(self):
+        # the first 0 has no mass; the second carries the infimum of the support
+        law = discrete_atoms([0.0, 0.0, 1.0], [0.0, 0.5, 0.5])
+        assert law.prob_lt(0.5) == 0.5
+        assert law.from_uniform(np.array([0.0, 0.4999, 0.5, 0.9])).tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("values, probs", [([], []), ([0.0, 1.0], [1.0]),
+                                               ([0.0, 1.0], [0.5, float("nan")])])
+    def test_malformed_table_rejected(self, values, probs):
+        with pytest.raises(LawValidationError):
+            discrete_atoms(values, probs)
+
+    def test_unmatched_table_or_nan_q_rejected(self):
+        with pytest.raises(LawValidationError, match="same length"):
+            DisorderLaw(values=(0.0, 1.0), probs=(1.0,))
+        with pytest.raises(LawValidationError, match="simplex"):
+            bernoulli(float("nan"))
+
+    def test_every_law_is_an_atom_table_or_uniform(self):
+        assert uniform01() == DisorderLaw()
+        assert bernoulli(0.25) == DisorderLaw(values=(1.0, 0.0), probs=(0.25, 0.75))
+        law = discrete_atoms([1.0, 0.0, 0.3], [0.5, 0.2, 0.3])    # sorted once, here
+        assert law == DisorderLaw(values=(0.0, 0.3, 1.0), probs=(0.2, 0.3, 0.5))
 
 
 class TestSampling:
@@ -105,13 +133,19 @@ GOLDEN_FIELDS = {
     ("bernoulli", (5, 5, 5)): "8db9e86caccf7e8fcb9b2a481e460ffb5cc12712130598dc9b3404d367b1fde2",
     ("bernoulli", (1,)): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     ("bernoulli", (32769,)): "146fa742ba8cb5fe47b201b52b7842af4ce0aa12b70b6b659bb03eb53498bfe5",
+    ("atoms", (257, 257)): "480f0abb87fd527a1310695d35f4e655def39ce5e584be3a609a0002e5ef3b55",
+    ("atoms", (5, 5, 5)): "0b58e7d15eade1d703c1c45efbfd34a46acdc8b1fe58f6b3b22619a68f8ab493",
+    ("atoms", (32769,)): "0f060c8a6bcfe1e101eadc64eac74a0c9d81902c2f15544579747aa097149677",
 }
 # the same for resample_site(sample_omega(law, (5, 5, 5), 101, 2), (1, 2, 3), 9)
 GOLDEN_RESAMPLED = {
     "uniform01": "2bda4e49b13a8f7dacaee6d8a169b8f382ff33cb5aaec03388527c5094a4a23c",
     "bernoulli": "aca30ac87d0acad78bb5a970fdfd2c8a2e251fb0ed38ddd519ec536ad013b6d5",
+    "atoms": "9a89629629408a2f80b9df94a3da80736d7efc1c865c3c44af3f5eb9a3935536",
 }
-LAWS = {"uniform01": uniform01(), "bernoulli": bernoulli(0.5)}
+# atoms listed out of value order, one value twice
+LAWS = {"uniform01": uniform01(), "bernoulli": bernoulli(0.5),
+        "atoms": discrete_atoms([1.0, 0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25])}
 
 
 def digest(omega) -> str:

@@ -1,6 +1,5 @@
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -160,15 +159,6 @@ class TestHamiltonianSpecInvariants:
         else:
             with pytest.raises(ConfigurationError, match="overflows"):
                 HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
-
-    def test_pickle_leaves_out_cached_diagonal(self):
-        H = random_spec(d=2, L=4, m=5, seed=2)
-        size = len(pickle.dumps(H))
-        diagonal = H.diagonal
-        assert len(pickle.dumps(H)) == size
-        copy = pickle.loads(pickle.dumps(H))
-        assert "diagonal" not in vars(copy)
-        assert copy.diagonal.tobytes() == diagonal.tobytes()
 
 
 class TestCgSolve:

@@ -30,8 +30,13 @@ def test_cases_are_the_smoke_configs_and_the_benchmark_invocations():
         ("decay-1d-green-decay", "green-decay"),
         ("influence-2d-vertical-derivative", "vertical-derivative"),
         ("percolation-2d-fpp-kesten", "fpp-kesten"),
-        ("percolation-2d-cluster-tail", "cluster-tail")]
+        ("percolation-2d-cluster-tail", "cluster-tail"),
+        ("cluster-tail-atoms", "cluster-tail"), ("anchor-1d-atoms", "anchor-1d")]
     assert [cfg for _, _, cfg in cases[:len(SMOKE_CONFIGS)]] == list(SMOKE_CONFIGS.values())
+    # the third law kind, its atoms out of value order
+    assert [cfg["law"] for _, _, cfg in cases[-2:]] == [outputs_diff.ATOMS] * 2
+    assert outputs_diff.ATOMS["kind"] == "discrete_atoms"
+    assert outputs_diff.ATOMS["values"] != sorted(outputs_diff.ATOMS["values"])
 
 
 def test_same_data_files_do_not_differ(tmp_path):

@@ -4,15 +4,15 @@
     python3 tools/outputs_diff.py TREE_A TREE_B [--work DIR]
 
 The cases are the ``SMOKE_CONFIGS`` of tests/test_cli.py and the invocations
-of perfbench/workloads.py, both read from this checkout, each run at master
-seed 101 with 1 and with 2 workers.  A run is ``python -m landscape_lab.cli``
-in a fresh interpreter with only that tree's ``src`` on PYTHONPATH, one BLAS
-thread and no bytecode written, in a work directory outside both trees (a
-temporary one unless --work names a new one to keep).  A run differs
-when its exit code, the set of files it wrote or the bytes of a CSV or of
-summary.txt differ; then the tool exits 1.  Manifest values that differ,
-``wall_clock_seconds`` aside, are printed as notes.  Standard library only;
-perfbench/ is read and nothing is written to it.
+of perfbench/workloads.py, both read from this checkout, then ``ATOM_CASES``;
+each runs at master seed 101 with 1 and with 2 workers.  A run is ``python -m
+landscape_lab.cli`` in a fresh interpreter with only that tree's ``src`` on
+PYTHONPATH, one BLAS thread and no bytecode written, in a work directory
+outside both trees (a temporary one unless --work names a new one to keep).
+A run differs when its exit code, the set of files it wrote or the bytes of
+a CSV or of summary.txt differ; then the tool exits 1.  Manifest values that
+differ, ``wall_clock_seconds`` aside, are printed as notes.  Standard library
+only; perfbench/ is read and nothing is written to it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = "manifest.json"
 SEED, WORKERS = 101, (1, 2)
+# The smoke configs and the benchmark draw Bernoulli and uniform sites only.  These
+# draw from a discrete_atoms table listed out of value order, with a repeated
+# atom, and take k (cluster-tail) and gamma (anchor-1d) from the law's defaults.
+ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
+         "probs": [0.25, 0.25, 0.25, 0.25]}
+ATOM_CASES = [
+    ("cluster-tail-atoms", "cluster-tail",
+     {"d": 2, "L": 33, "law": ATOMS, "gamma": 0.5, "n_samples": 2}),
+    ("anchor-1d-atoms", "anchor-1d", {"L": 32, "law": ATOMS, "n_samples": 5}),
+]
 
 
 def smoke_configs(test_module: Path) -> dict:
@@ -56,13 +66,14 @@ def workloads(path: Path) -> dict:
 
 
 def cases() -> list:
-    """(name, subcommand, config): every smoke config, then every benchmark invocation."""
+    """(name, subcommand, config): every smoke config, every benchmark invocation,
+    then the atom cases."""
     found = [(sub, sub, cfg)
              for sub, cfg in smoke_configs(ROOT / "tests" / "test_cli.py").items()]
     for name, workload in workloads(ROOT / "perfbench" / "workloads.py").items():
         found += [(f"{name}-{inv.subcommand}", inv.subcommand, inv.config)
                   for inv in workload.invocations]
-    return found
+    return found + ATOM_CASES
 
 
 def run_cli(tree: Path, subcommand: str, config: Path, workers: int, out: Path) -> int:
