@@ -6,9 +6,12 @@ required) and its range rule.  Validation rejects unknown keys, wrong types,
 non-finite floats and values out of range, also when the
 --seed/--workers/--output flags set them, and fills in every default, so
 runners read ``cfg[key]`` only.  Verdict thresholds are constants in the
-runners.  Samples run through ``stats._pool_map``: any worker count gives
+runners.  Samples run through ``samples._pool_map``: any worker count gives
 the same bytes, and a failed solve skips its sample (more than 5 % skipped
-exits 3).
+exits 3).  Modules every run loads are imported here; each runner imports
+from the others (lattice, green, landscape, stats, percolation) the
+functions it drives, so a percolation run loads no solver module and a
+solver run no ``percolation``.
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
 ``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
 manifest.json (strict JSON: non-finite values are null) with the effective
@@ -35,22 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import DEFAULT_TOL, MAX_NODES, __version__
 from .disorder import (DisorderLaw, bernoulli, default_bump, discrete_atoms,
                        sample_omega, uniform01)
 from .errors import (ConfigurationError, ExperimentError, FitError, LawValidationError,
                      SolverFailure)
-from .green import (agmon_inequality_check, all_cell_masses, green_column,
-                    massive_domination_check, rank_one_identity_check)
-from .landscape import (derived_fields, energy_report, energy_terms,
-                        eta_convergence_study, solve_landscape)
-from .lattice import (_MAX_NODES, Grid, HamiltonianSpec, ScalarField,
-                      apply_hamiltonian, cell_reduce, cg_solve, dense_solve_oracle)
-from .percolation import (anchoring_experiment_1d, choose_k, cluster_analysis,
-                          coarse_grain, kesten_tail_experiment)
-from .stats import (ExperimentSetup, _pool_map, covariance_suite,
-                    fit_exponential_decay, green_decay_experiment,
-                    lambda_scaling_curve, vertical_derivative_decay)
+from .samples import _pool_map
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -100,23 +93,38 @@ def _no_file_on(path, cfg):
                                 if p.exists()).is_dir()
 
 
+# Defaults that only solver or only percolation tables take, read from their
+# owners when validation fills them in
+def _default_bc(cfg):
+    from .lattice import Grid
+    return Grid.bc
+
+
+def _default_margin(cfg):
+    from .stats import ExperimentSetup
+    return ExperimentSetup.margin
+
+
+def _default_k(cfg):
+    from .percolation import choose_k
+    return choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"])
+
+
 _POSITIVE = ("> 0", lambda v, cfg: v > 0)
 _WORD = ("in [0, 2**64)", lambda v, cfg: 0 <= v < 2 ** 64)   # a word of the site hash
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
 _BASE = {"master_seed": Key(int, 0, _WORD), "workers": Key(int, 1, _at_least(1)),
-         "tol": Key(float, ExperimentSetup.tol, _POSITIVE),
+         "tol": Key(float, DEFAULT_TOL, _POSITIVE),
          "output_dir": Key(str, None, ("a directory, not a file or under one",
                                        _no_file_on))}
 _OPERATOR = {"d": Key(int), "L": Key(int), "m": Key(int),
-             "bc": Key(str, ExperimentSetup.bc), "law": Key(dict),
+             "bc": Key(str, _default_bc), "law": Key(dict),
              "lambda": Key(float, rule=_at_least(0)),
              "eta": Key(float, rule=_at_least(0))}
 _N_SAMPLES = Key(int, rule=_at_least(1))
 _P = Key(float, rule=_POSITIVE)
-_MARGIN = Key(int, ExperimentSetup.margin,
-              ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
-_K = Key(int, lambda cfg: choose_k(law_from_dict(cfg["law"]), cfg["gamma"], cfg["d"]),
-         _at_least(1))
+_MARGIN = Key(int, _default_margin, ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
+_K = Key(int, _default_k, _at_least(1))
 # each lambda names its curve file by its :g form: two that print alike would share one
 _DISTINCT_LAMBDAS = ("positive and distinct under :g", lambda v, cfg: v > 0 and [
     f"{x:g}" for x in cfg["lambdas"]].count(f"{v:g}") == 1)
@@ -125,9 +133,9 @@ _FIT_WINDOW = {"r_min": Key(float, 5.0), "r_max": Key(float, 40.0, _ABOVE_R_MIN)
 # the percolation site box; the 1-d anchoring box has no d, and L**d is not
 # evaluated when d is out of range
 _LATTICE = {"d": Key(int, rule=("in {1, 2, 3}", lambda v, cfg: v in (1, 2, 3))),
-            "L": Key(int, rule=(f"such that L**d <= {_MAX_NODES}",
+            "L": Key(int, rule=(f"such that L**d <= {MAX_NODES}",
                                 lambda v, cfg: cfg.get("d", 1) not in (1, 2, 3)
-                                or v ** cfg.get("d", 1) <= _MAX_NODES))}
+                                or v ** cfg.get("d", 1) <= MAX_NODES))}
 
 
 def _operator(*without):
@@ -213,8 +221,11 @@ def law_from_dict(d: dict) -> DisorderLaw:
     return factory(**args)
 
 
-def _setup(cfg: dict, **fixed) -> ExperimentSetup:
-    """fixed sets the fields the table lacks: lam/eta where swept, periodic bc."""
+def _setup(cfg: dict, **fixed):
+    """The run's ExperimentSetup; fixed sets the fields the table lacks:
+    lam/eta where swept, periodic bc."""
+    from .stats import ExperimentSetup
+
     keys = ("d", "L", "m", "bc", "lambda", "eta", "tol", "margin")
     fields = {"lam" if key == "lambda" else key: cfg[key] for key in keys if key in cfg}
     return ExperimentSetup(law=law_from_dict(cfg["law"]), **fields, **fixed)
@@ -223,6 +234,9 @@ def _setup(cfg: dict, **fixed) -> ExperimentSetup:
 # ------------------------------------------------------------------ runners
 
 def _run_solve_landscape(cfg, tables):
+    from .landscape import derived_fields, solve_landscape
+    from .lattice import cell_reduce
+
     setup = _setup(cfg)
     H = setup.hamiltonian(cfg["master_seed"], cfg["sample_index"])
     sol = solve_landscape(H, tol=setup.tol)
@@ -245,6 +259,8 @@ def _curve_table(curve):
 
 def _fit(curve, cfg, tables):
     """The decay fit of curve; curve.csv is filled before the fit can fail."""
+    from .stats import fit_exponential_decay
+
     tables["curve.csv"] = _curve_table(curve)
     fit = fit_exponential_decay(curve, cfg["r_min"], cfg["r_max"])
     tables["fit.csv"] = (["rate", "log_prefactor", "r_min", "r_max", "r_squared", "n_points"],
@@ -254,6 +270,8 @@ def _fit(curve, cfg, tables):
 
 
 def _run_green_decay(cfg, tables):
+    from .stats import green_decay_experiment
+
     curve = green_decay_experiment(_setup(cfg), cfg["p"], cfg["n_samples"],
                                    cfg["master_seed"], workers=cfg["workers"])
     fit = _fit(curve, cfg, tables)
@@ -262,6 +280,8 @@ def _run_green_decay(cfg, tables):
 
 
 def _run_lambda_scaling(cfg, tables):
+    from .stats import lambda_scaling_curve
+
     res = lambda_scaling_curve(_setup(cfg, lam=None, eta=None), cfg["lambdas"],
                                cfg["p"], cfg["n_samples"], cfg["master_seed"],
                                r_min=cfg["r_min"], r_max=cfg["r_max"],
@@ -276,6 +296,8 @@ def _run_lambda_scaling(cfg, tables):
 
 
 def _run_covariance(cfg, tables):
+    from .stats import covariance_suite
+
     pts = covariance_suite(_setup(cfg), [cfg["observable"]], cfg["separations"],
                            cfg["n_samples"], cfg["master_seed"],
                            workers=cfg["workers"])[cfg["observable"]]
@@ -287,6 +309,8 @@ def _run_covariance(cfg, tables):
 
 
 def _run_vertical_derivative(cfg, tables):
+    from .stats import vertical_derivative_decay
+
     curve = vertical_derivative_decay(_setup(cfg), cfg["z_offsets"], cfg["n_samples"],
                                       cfg["master_seed"], workers=cfg["workers"])
     fit = _fit(curve, cfg, tables)
@@ -294,6 +318,8 @@ def _run_vertical_derivative(cfg, tables):
 
 
 def _eta_sample(i, setup, cfg):
+    from .landscape import eta_convergence_study
+
     return eta_convergence_study(setup.omega(cfg["master_seed"], i), default_bump(),
                                  setup.grid(), setup.lam, cfg["etas"],
                                  tol=min(setup.tol, 1e-10))
@@ -313,11 +339,15 @@ def _run_eta_convergence(cfg, tables):
 
 def _energy_sample(i, setup, cfg):
     """The sample's two cell averages; the solution stays in the worker."""
+    from .landscape import energy_terms, solve_landscape
+
     return energy_terms(solve_landscape(setup.hamiltonian(cfg["master_seed"], i),
                                         tol=setup.tol))
 
 
 def _run_energy_check(cfg, tables):
+    from .landscape import energy_report
+
     terms = _pool_map(_energy_sample, cfg["n_samples"], cfg["workers"],
                       _setup(cfg, bc="periodic"), cfg)
     report = energy_report(list(terms.values()))
@@ -329,6 +359,8 @@ def _run_energy_check(cfg, tables):
 def _agmon_sample(i, setup, cfg):
     """(mu, report) for mu = 0 and 0.1 sqrt(lambda): h = mu * min(|x|_oo, L/4),
     and chi vanishes at |x|_oo <= 1 and at |x|_oo >= L/2 - 1."""
+    from .green import agmon_inequality_check, green_column
+
     H = setup.hamiltonian(cfg["master_seed"], i)
     G = green_column(H, H.grid.center_node, tol=setup.tol)
     return [(mu, agmon_inequality_check(G, mu, setup.L / 4.0, 1.0, setup.L / 2.0 - 1.0))
@@ -344,6 +376,8 @@ def _run_agmon_check(cfg, tables):
 
 
 def _rank_one_sample(i, setup, cfg):
+    from .green import rank_one_identity_check
+
     grid = setup.grid()
     z = tuple(c + cfg["z_offset"] for c in grid.center_cell)
     x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
@@ -360,6 +394,8 @@ def _run_rank_one(cfg, tables):
 
 
 def _run_fpp_kesten(cfg, tables):
+    from .percolation import kesten_tail_experiment
+
     rows = kesten_tail_experiment(law_from_dict(cfg["law"]), cfg["d"], cfg["L"],
                                   cfg["gamma"], cfg["radii"], cfg["c_probe"],
                                   cfg["n_samples"], cfg["master_seed"], k=cfg["k"],
@@ -372,6 +408,8 @@ def _run_fpp_kesten(cfg, tables):
 
 
 def _cluster_sample(i, law, cfg):
+    from .percolation import cluster_analysis, coarse_grain
+
     omega = sample_omega(law, (cfg["L"],) * cfg["d"], cfg["master_seed"], i)
     return cluster_analysis(coarse_grain(omega, cfg["k"], cfg["gamma"])
                             ).closed_component_diameters
@@ -395,6 +433,8 @@ def _run_cluster_tail(cfg, tables):
 
 
 def _run_anchor_1d(cfg, tables):
+    from .percolation import anchoring_experiment_1d
+
     rep = anchoring_experiment_1d(law_from_dict(cfg["law"]), cfg["L"], cfg["gamma"],
                                   cfg["n_samples"], cfg["master_seed"],
                                   workers=cfg["workers"])
@@ -406,6 +446,12 @@ def _run_anchor_1d(cfg, tables):
 
 def _run_selftest(cfg, tables):
     """Quick structural checks with a direct-factorization cross-check."""
+    from .green import all_cell_masses, green_column, massive_domination_check
+    from .landscape import solve_landscape
+    from .lattice import (Grid, HamiltonianSpec, ScalarField, apply_hamiltonian, cg_solve,
+                          dense_solve_oracle)
+    from .stats import ExperimentSetup
+
     checks = []
     setup = ExperimentSetup(d=1, L=8, m=20, law=bernoulli(0.5), lam=1.0, eta=0.1)
     omega = setup.omega(cfg["master_seed"], 0)
@@ -553,20 +599,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="landscape-lab",
         description="Monte Carlo experiments on the random landscape function")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in TABLES:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None)
+    parser.add_argument("subcommand", choices=TABLES)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
     # The import-time heap lives until exit: frozen, it is skipped by every
     # later collection, those of interpreter shutdown included, and pool
     # workers forked from here inherit the frozen state.
     gc.freeze()
-    return run(args.subcommand, args.config, output_dir=args.output,
+    code = run(args.subcommand, args.config, output_dir=args.output,
                workers=args.workers, seed=args.seed)
+    gc.freeze()     # the modules the runner imported live until exit too
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError
 from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
@@ -54,7 +55,7 @@ def delta_rhs(grid: Grid, node: tuple) -> ScalarField:
     return ScalarField(grid=grid, values=v)
 
 
-def green_column(H: HamiltonianSpec, x0, tol: float = 1e-9) -> GreenColumn:
+def green_column(H: HamiltonianSpec, x0, tol: float = DEFAULT_TOL) -> GreenColumn:
     x0 = tuple(int(i) for i in np.atleast_1d(x0))
     if len(x0) != H.grid.d or any(not (0 <= i < H.grid.n_per_side) for i in x0):
         raise ConfigurationError(f"source node {x0} outside grid")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .disorder import BumpProfile, OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
 from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cg_solve,
@@ -38,7 +39,7 @@ class EtaRow:
     ratio_to_eta: float
 
 
-def solve_landscape(H: HamiltonianSpec, tol: float = 1e-9) -> LandscapeSolution:
+def solve_landscape(H: HamiltonianSpec, tol: float = DEFAULT_TOL) -> LandscapeSolution:
     u = cg_solve(H, ScalarField.constant(H.grid, 1.0), tol=tol)
     if float(u.values.min()) <= 0.0:
         raise PositivityError(

@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import DEFAULT_TOL, MAX_NODES
 from .errors import (ConfigurationError, GridMismatchError,
                      SingularOperatorError, SolverNonConvergenceError)
 
 _MAX_DENSE_NODES = 10_000
-_MAX_NODES = 1 << 24  # memory budget guard
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Grid:
             raise ConfigurationError(f"need m >= 1 nodes per unit length, got {self.m}")
         if self.bc not in ("dirichlet", "periodic"):
             raise ConfigurationError(f"unknown bc {self.bc!r}")
-        if self.n_per_side ** self.d > _MAX_NODES:
+        if self.n_per_side ** self.d > MAX_NODES:
             raise ConfigurationError("node count exceeds the memory budget")
 
     @property
@@ -223,8 +223,10 @@ def _preconditioner(H: HamiltonianSpec):
     if periodic:
         dims = tuple(range(H.grid.d))
         return lambda r: np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=dims)
-    k = np.arange(1, n + 1)   # i j reduced mod 2(n+1), the period, before the sine
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+    # S takes 2(n+1) distinct values, one per residue of i j mod 2(n+1), the period
+    sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
+    k = np.arange(1, n + 1)
+    S = sines[np.outer(k, k) % (2 * n + 2)]
 
     def sine_transform(y: np.ndarray) -> np.ndarray:
         y = y @ S              # last axis
@@ -234,7 +236,7 @@ def _preconditioner(H: HamiltonianSpec):
     return lambda r: sine_transform(scale * sine_transform(r))
 
 
-def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = 1e-9,
+def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
              max_iter: int | None = None) -> ScalarField:
     """Preconditioned CG down to ||A f - rhs|| <= tol * ||rhs||.
 

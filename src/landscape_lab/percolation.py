@@ -19,7 +19,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError
-from .stats import _pool_map
+from .samples import _pool_map
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,19 @@
-"""Monte Carlo experiments: decay curves, rate fits, covariances.
-
-Samples are independent tasks keyed by (master_seed, sample_index); results
-are folded in sample-index order so worker counts never change the output.
-"""
+"""Monte Carlo experiments: decay curves, rate fits, covariances."""
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .disorder import (DisorderLaw, OmegaField, assemble_potential, default_bump,
                        resample_site, sample_omega)
-from .errors import ConfigurationError, ExperimentError, FitError, SolverFailure
+from .errors import ConfigurationError, FitError
 from .green import all_cell_masses, green_column
 from .landscape import derived_fields, solve_landscape
 from .lattice import Grid, HamiltonianSpec
-
-log = logging.getLogger(__name__)
+from .samples import _pool_map
 
 N_BOOT = 200   # bootstrap resamples per confidence interval
 
@@ -60,8 +53,8 @@ class ExperimentSetup:
     law: DisorderLaw
     lam: float | None       # None where the experiment sweeps lambda
     eta: float | None       # None where the experiment sweeps eta
-    bc: str = "dirichlet"
-    tol: float = 1e-9
+    bc: str = Grid.bc
+    tol: float = DEFAULT_TOL
     margin: int = 5
 
     def grid(self) -> Grid:
@@ -76,37 +69,6 @@ class ExperimentSetup:
 
     def hamiltonian(self, master_seed: int, sample_index: int) -> HamiltonianSpec:
         return self.operator(self.omega(master_seed, sample_index))
-
-
-def _attempt(fn, i, args):
-    try:
-        return fn(i, *args)
-    except SolverFailure as exc:
-        log.warning("sample %d skipped: %s", i, exc)
-        return None
-
-
-def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
-    """The one sample loop: {i: fn(i, *args)} over the samples that solved.
-
-    Serial or on a pool of min(workers, n_samples, cpu count) processes, in
-    index order.  A solver failure skips its sample with a logged warning,
-    more than 5 % skipped raises ExperimentError, and any other error is raised.
-    """
-    workers = min(workers, n_samples, os.cpu_count() or 1)
-    if workers <= 1:
-        outcomes = [_attempt(fn, i, args) for i in range(n_samples)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor   # serial runs never load the pool
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_attempt, repeat(fn), range(n_samples), repeat(args),
-                                     chunksize=max(1, n_samples // (4 * workers))))
-    kept = {i: out for i, out in enumerate(outcomes) if out is not None}
-    skipped = n_samples - len(kept)
-    if skipped and skipped / n_samples > 0.05:
-        raise ExperimentError(f"{skipped}/{n_samples} samples failed to solve")
-    return kept
 
 
 def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import cli, stats
+from landscape_lab import cli, green, stats
 from landscape_lab.cli import TABLES, _setup, law_from_dict, run, validate_config, write_csv
 from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
 from landscape_lab.green import agmon_inequality_check, green_column
@@ -628,7 +628,7 @@ class TestFailurePolicy:
     def test_agmon_check_skips_one_failed_sample(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "c.json", dict(TINY_1D, n_samples=20))
         assert run("agmon-check", cfg, output_dir=tmp_path / "all") == 0
-        fail_calls(monkeypatch, cli, "green_column", {7})
+        fail_calls(monkeypatch, green, "green_column", {7})
         assert run("agmon-check", cfg, output_dir=tmp_path / "out") == 0
         rows = (tmp_path / "all" / "agmon.csv").read_text().splitlines()
         kept = [row for row in rows if not row.startswith("7,")]
@@ -637,7 +637,7 @@ class TestFailurePolicy:
 
     @pytest.mark.parametrize("subcommand, given, module, name", [
         ("covariance", COVARIANCE_20, stats, "solve_landscape"),
-        ("agmon-check", dict(TINY_1D, n_samples=20), cli, "green_column")])
+        ("agmon-check", dict(TINY_1D, n_samples=20), green, "green_column")])
     def test_two_failures_in_20_exit_3(self, tmp_path, monkeypatch, subcommand, given,
                                        module, name):
         fail_calls(monkeypatch, module, name, {7, 12})

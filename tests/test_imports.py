@@ -1,7 +1,7 @@
-"""Lints on the package source (no linter is assumed): every module-level
-import is used, and every module-level function and class, and every class
-member, is reached from the package itself, the acceptance suite or the
-benchmark's traced spans."""
+"""Lints on the package source (no linter is assumed): every import, at
+module level or in a function body, is used in its scope, and every
+module-level function and class, and every class member, is reached from the
+package itself, the acceptance suite or the benchmark's traced spans."""
 
 import ast
 from pathlib import Path
@@ -12,15 +12,33 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "landscape_lab"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(scope):
+    """The nodes inside scope that are not inside a function it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list:
-    """Names a module's top-level imports bind but its code never reads."""
+    """Names an import binds but its scope never reads, in source order: the
+    module's code for an import outside functions, the function's own code
+    (its nested functions included) for an import in a function body."""
     tree = ast.parse(source)
-    bound = [alias.asname or alias.name.split(".")[0]
-             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-             and getattr(node, "module", None) != "__future__"
-             for alias in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in read]
+    found = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, FUNCTIONS))]:
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        found += [((node.lineno, node.col_offset), name)
+                  for node in own_nodes(scope) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                  if name not in read]
+    return [name for _, name in sorted(found, key=lambda item: item[0])]
 
 
 def test_checker_flags_an_unused_import():
@@ -28,6 +46,11 @@ def test_checker_flags_an_unused_import():
               "import scipy.sparse\nfrom dataclasses import dataclass, field\n"
               "x: np.ndarray = scipy.sparse.eye(2)\n")
     assert unused_imports(source) == ["dataclass", "field"]
+    # a function's import counts as read only in that function
+    source = ("def run():\n    from .stats import fit, curve as c\n    if c:\n"
+              "        import logging\n    return fit(lambda: c)\n\n"
+              "def other():\n    return logging\n")
+    assert unused_imports(source) == ["logging"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

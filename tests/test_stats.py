@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landscape_lab.disorder import bernoulli, uniform01
-from landscape_lab import stats
+from landscape_lab import samples, stats
 from landscape_lab.errors import (ConfigurationError, ExperimentError, FitError,
                                    GridMismatchError, LawValidationError,
                                    SingularOperatorError, SolverFailure,
@@ -56,11 +56,11 @@ def raise_at_7(i, error):
 class TestSampleLoop:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kept_results_keyed_by_sample_index(self, workers):
-        kept = stats._pool_map(square_unless, 40, workers, {3, 17})
+        kept = samples._pool_map(square_unless, 40, workers, {3, 17})
         assert list(kept) == [i for i in range(40) if i not in (3, 17)]
         assert all(v == i * i for i, v in kept.items())
         with pytest.raises(ExperimentError, match="3/40"):
-            stats._pool_map(square_unless, 40, workers, {1, 2, 3})
+            samples._pool_map(square_unless, 40, workers, {1, 2, 3})
 
     def test_workers_capped_by_samples_and_cores(self, monkeypatch):
         started = []
@@ -79,25 +79,25 @@ class TestSampleLoop:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
-        serial = stats._pool_map(square_unless, 40, 1, set())
-        assert stats._pool_map(square_unless, 40, 100_000, set()) == serial
-        assert stats._pool_map(square_unless, 3, 100_000, set()) == {0: 0, 1: 1, 2: 4}
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: 4)
+        serial = samples._pool_map(square_unless, 40, 1, set())
+        assert samples._pool_map(square_unless, 40, 100_000, set()) == serial
+        assert samples._pool_map(square_unless, 3, 100_000, set()) == {0: 0, 1: 1, 2: 4}
         assert started == [4, 3]
-        monkeypatch.setattr(stats.os, "cpu_count", lambda: None)   # unknown: serial
-        assert stats._pool_map(square_unless, 40, 100_000, set()) == serial
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: None)   # unknown: serial
+        assert samples._pool_map(square_unless, 40, 100_000, set()) == serial
         assert started == [4, 3]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_errors_are_raised(self, workers):
         with pytest.raises(ConfigurationError, match="invalid"):
-            stats._pool_map(square_unless, 40, workers, set(), {2})
+            samples._pool_map(square_unless, 40, workers, set(), {2})
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("error", SolverFailure.__subclasses__(),
                              ids=lambda error: error.__name__)
     def test_each_solver_failure_skips_its_sample(self, workers, error):
-        assert list(stats._pool_map(raise_at_7, 20, workers, error)) == [
+        assert list(samples._pool_map(raise_at_7, 20, workers, error)) == [
             i for i in range(20) if i != 7]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -105,20 +105,21 @@ class TestSampleLoop:
                              ids=lambda error: error.__name__)
     def test_configuration_errors_are_raised(self, workers, error):
         with pytest.raises(error, match="sample 7"):
-            stats._pool_map(raise_at_7, 20, workers, error)
+            samples._pool_map(raise_at_7, 20, workers, error)
 
 
 # Run in a fresh interpreter: after the import and after each (subcommand,
-# config, workers) run in argv[1] it records the process-pool modules and
-# numpy.ma, if loaded so far.
+# config, workers) run in argv[1] it records the package modules, logging, the
+# process-pool modules and numpy.ma, if loaded so far.
 POOL_PROBE = """
 import json, sys
 from pathlib import Path
 from landscape_lab import cli
 runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
 def watched():
-    return sorted(m for m in sys.modules if m in ("concurrent.futures.process", "numpy.ma")
-                  or m.split(".")[0] == "multiprocessing")
+    return sorted(m for m in sys.modules
+                  if m in ("concurrent.futures.process", "numpy.ma", "logging")
+                  or m.split(".")[0] in ("multiprocessing", "landscape_lab"))
 loaded = {"import": watched()}
 for name, cfg, workers in runs:
     path = tmp / f"{name}.json"
@@ -129,28 +130,42 @@ for name, cfg, workers in runs:
 print(json.dumps(loaded))
 """
 
+SOLVER = {f"landscape_lab.{name}" for name in ("lattice", "green", "landscape", "stats")}
+
+
+def probe(runs, tmp_path) -> dict:
+    """POOL_PROBE's records, as sets, in one fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", POOL_PROBE, json.dumps(runs),
+                          str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return {key: set(names) for key, names in json.loads(out.strip().splitlines()[-1]).items()}
+
 
 class TestPoolImport:
-    """Serial runs never load the process pool, and no run loads numpy.ma."""
+    """A run loads only its subcommand's modules: serial runs never load the
+    process pool, a run that skips no sample never loads logging, and no run
+    loads numpy.ma."""
 
     def test_serial_runs_load_no_pool(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
         green = {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0, "eta": 1e-3,
                  "p": 1.0, "n_samples": 4, "margin": 2, "r_min": 1.0, "r_max": 5.0}
-        runs = [("fpp-kesten", {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
-                                "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}, 1),
-                ("green-decay", green, 1), ("green-decay", green, 2)]
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", POOL_PROBE, json.dumps(runs),
-                              str(tmp_path)], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        loaded = json.loads(out.strip().splitlines()[-1])
-        assert loaded["import"] == loaded["fpp-kesten-w1"] == loaded["green-decay-w1"] == []
+        kesten = {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
+                  "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}
+        percolation = probe([("fpp-kesten", kesten, 1)], tmp_path)
+        solver = probe([("green-decay", green, 1), ("green-decay", green, 2)], tmp_path)
+        assert not (SOLVER | {"landscape_lab.percolation"}) & percolation["import"]
+        assert not SOLVER & percolation["fpp-kesten-w1"]
+        assert "landscape_lab.percolation" not in solver["green-decay-w2"]
+        pool = {"concurrent.futures.process", "multiprocessing"}
+        for loaded in (percolation["import"], percolation["fpp-kesten-w1"],
+                       solver["import"], solver["green-decay-w1"]):
+            assert not (pool | {"numpy.ma", "logging"}) & loaded
         if (os.cpu_count() or 1) > 1:   # the pool ran, and the probe sees it
-            assert {"concurrent.futures.process", "multiprocessing"} <= set(
-                loaded["green-decay-w2"])
-        assert "numpy.ma" not in loaded["green-decay-w2"]
+            assert pool <= solver["green-decay-w2"]
+        assert "numpy.ma" not in solver["green-decay-w2"]
         serial, pooled = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
         names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
         assert "summary.txt" in names
