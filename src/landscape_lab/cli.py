@@ -3,15 +3,18 @@
 Every experiment is a subcommand taking a JSON config.  ``TABLES`` gives,
 per subcommand, its runner and each key's type, its default (or that it is
 required) and its range rule.  Validation rejects unknown keys, wrong types,
-non-finite floats and values out of range, also when the
+numbers past the float range and values out of range, also when the
 --seed/--workers/--output flags set them, and fills in every default, so
 runners read ``cfg[key]`` only.  Verdict thresholds are constants in the
-runners.  Samples run through ``samples._pool_map``: any worker count gives
-the same bytes, and a failed solve skips its sample (more than 5 % skipped
-exits 3).  Modules every run loads are imported here; each runner imports
-from the others (lattice, green, landscape, stats, percolation) the
-functions it drives, so a percolation run loads no solver module and a
-solver run no ``percolation``.
+runners.  ``tol`` is a key only of the seven tables whose solves run at it:
+fpp-kesten, cluster-tail and anchor-1d never solve, and eta-convergence,
+rank-one-check and selftest solve at fixed tolerances (the library's
+defaults, selftest's own).  Samples run through ``samples._pool_map``: any
+worker count gives the same bytes, and a failed solve skips its sample
+(more than 5 % skipped exits 3).  Modules every run loads are imported here;
+each runner imports from the others (lattice, green, landscape, stats,
+percolation) the functions it drives, so a percolation run loads no solver
+module and a solver run no ``percolation``.
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
 ``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
 manifest.json (strict JSON: non-finite values are null) with the effective
@@ -114,13 +117,13 @@ _POSITIVE = ("> 0", lambda v, cfg: v > 0)
 _WORD = ("in [0, 2**64)", lambda v, cfg: 0 <= v < 2 ** 64)   # a word of the site hash
 _UPPER_QUANTILE = Key(float, lambda cfg: law_from_dict(cfg["law"]).upper_quantile())
 _BASE = {"master_seed": Key(int, 0, _WORD), "workers": Key(int, 1, _at_least(1)),
-         "tol": Key(float, DEFAULT_TOL, _POSITIVE),
          "output_dir": Key(str, None, ("a directory, not a file or under one",
                                        _no_file_on))}
 _OPERATOR = {"d": Key(int), "L": Key(int), "m": Key(int),
              "bc": Key(str, _default_bc), "law": Key(dict),
              "lambda": Key(float, rule=_at_least(0)),
-             "eta": Key(float, rule=_at_least(0))}
+             "eta": Key(float, rule=_at_least(0)),
+             "tol": Key(float, DEFAULT_TOL, _POSITIVE)}
 _N_SAMPLES = Key(int, rule=_at_least(1))
 _P = Key(float, rule=_POSITIVE)
 _MARGIN = Key(int, _default_margin, ("in [0, L/2)", lambda v, cfg: 0 <= v < cfg["L"] / 2))
@@ -144,24 +147,25 @@ def _operator(*without):
 
 def _type_name(want) -> str:
     name = f"a non-empty list of {want[0].__name__}" if isinstance(want, list) else want.__name__
-    return name.replace("float", "finite float")
+    return (name.replace("float", "finite float")
+            .replace("int", "int in the float range"))
 
 
 def _typed(val, want):
     """val as a `want`, or None if it is not one.
 
     JSON ints pass as floats (and become floats), bools pass as nothing, a
-    float must be finite (JSON's NaN and Infinity fail, so do ints past the
-    float range), and [t] takes a non-empty list of t.
+    number, int or float, must lie within the float range (JSON's NaN and
+    Infinity fail, so do ints past it), and [t] takes a non-empty list of t.
     """
     if isinstance(want, list):
         items = [_typed(v, want[0]) for v in val] if isinstance(val, list) else []
         return items if items and None not in items else None
     if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
         return None
-    if want is not float:
-        return val
-    return float(val) if abs(val) <= sys.float_info.max else None
+    if want in (int, float) and not abs(val) <= sys.float_info.max:
+        return None
+    return float(val) if want is float else val
 
 
 def validate_config(subcommand: str, cfg: dict) -> dict:
@@ -321,8 +325,7 @@ def _eta_sample(i, setup, cfg):
     from .landscape import eta_convergence_study
 
     return eta_convergence_study(setup.omega(cfg["master_seed"], i), default_bump(),
-                                 setup.grid(), setup.lam, cfg["etas"],
-                                 tol=min(setup.tol, 1e-10))
+                                 setup.grid(), setup.lam, cfg["etas"])
 
 
 def _run_eta_convergence(cfg, tables):
@@ -510,20 +513,23 @@ TABLES = {name: (runner, {**_BASE, **keys}) for name, (runner, keys) in {
         "r_min": Key(float, 1.0),
         "r_max": Key(float, lambda cfg: float(max(abs(z) for z in cfg["z_offsets"])),
                      _ABOVE_R_MIN)}),
-    "eta-convergence": (_run_eta_convergence, {**_operator("eta"), "n_samples": _N_SAMPLES,
-                                               "etas": Key([float], rule=_at_least(0))}),
+    "eta-convergence": (_run_eta_convergence, {
+        **_operator("eta", "tol"), "n_samples": _N_SAMPLES,
+        "etas": Key([float], rule=_at_least(0))}),
     "energy-check": (_run_energy_check, {**_operator("bc"), "n_samples": _N_SAMPLES}),
     "agmon-check": (_run_agmon_check, {**_operator("bc"), "n_samples": _N_SAMPLES}),
     "rank-one-check": (_run_rank_one, {
-        **_operator("bc"), "n_samples": _N_SAMPLES,
+        **_operator("bc", "tol"), "n_samples": _N_SAMPLES,
         "z_offset": Key(int, 2), "x_offset": Key(int, -3)}),
     "fpp-kesten": (_run_fpp_kesten, {**_LATTICE, "law": Key(dict),
                                      "gamma": _UPPER_QUANTILE, "k": _K, "radii": Key([int]),
                                      "c_probe": Key(float), "n_samples": _N_SAMPLES}),
     "cluster-tail": (_run_cluster_tail, {
         **_LATTICE, "law": Key(dict), "gamma": Key(float), "k": _K, "n_samples": _N_SAMPLES,
-        "diam_min": Key(int, 2),
-        "diam_max": Key(int, 10, (">= diam_min", lambda v, cfg: v >= cfg["diam_min"]))}),
+        # a closed component's coarse diameter is below nc <= L
+        "diam_min": Key(int, 2, _at_least(0)),
+        "diam_max": Key(int, lambda cfg: min(10, cfg["L"]), (
+            "in [diam_min, L]", lambda v, cfg: cfg["diam_min"] <= v <= cfg["L"]))}),
     "anchor-1d": (_run_anchor_1d, {"L": _LATTICE["L"], "law": Key(dict),
                                    "gamma": _UPPER_QUANTILE, "n_samples": _N_SAMPLES}),
     "selftest": (_run_selftest, {}),

@@ -74,7 +74,7 @@ def _coarse_side(L: int, k: int) -> int:
     """Coarse vertices per side of a box of L sites at scale 2^k."""
     if k < 1:
         raise ConfigurationError(f"coarse scale k must be >= 1, got {k}")
-    nc = (L - 1) // (1 << k) + 1
+    nc = ((L - 1) >> k) + 1     # a shift: a huge k builds no 2^k
     if nc < 4:
         raise ConfigurationError(f"box too small: only {nc} coarse cells per side")
     return nc

@@ -193,22 +193,16 @@ def lambda_scaling_curve(setup: ExperimentSetup, lambdas, p: float,
 _OBSERVABLES = ("u", "inv_u", "grad_log_u")
 
 
-def _observable_fields(sol, observable):
-    if observable == "u":
-        return [sol.u.values]
-    if observable == "inv_u":
-        return [derived_fields(sol)["inv_u"].values]
-    return [c.values for c in derived_fields(sol)["grad_log_u"]]
-
-
 def _cov_sample(i, setup, master_seed, observables, sep_nodes, center):
     sol = solve_landscape(setup.hamiltonian(master_seed, i), tol=setup.tol)
-    out = {}
-    for observable in observables:
-        fields = _observable_fields(sol, observable)
-        out[observable] = np.array([[fv[node] for fv in fields]
-                                    for node in (center, *sep_nodes)])
-    return out
+    fields = {"u": [sol.u.values]}
+    if set(observables) - {"u"}:    # one derived_fields call serves 1/u and grad log u
+        der = derived_fields(sol)
+        fields.update(inv_u=[der["inv_u"].values],
+                      grad_log_u=[c.values for c in der["grad_log_u"]])
+    return {observable: np.array([[fv[node] for fv in fields[observable]]
+                                  for node in (center, *sep_nodes)])
+            for observable in observables}
 
 
 def covariance_suite(setup: ExperimentSetup, observables, separations,

@@ -209,6 +209,25 @@ class TestEverySubcommand:
         assert headers == CSV_HEADERS[subcommand]
 
     @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
+    def test_runner_reads_every_key(self, subcommand):
+        # a key its runner never reads would be accepted, ignored and still
+        # recorded in the manifest as the config that ran
+        class Recorder(dict):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        cfg = Recorder(validate_config(subcommand, dict(SMOKE_CONFIGS[subcommand], workers=1)))
+        TABLES[subcommand][0](cfg, {})
+        # one sample, or no sample loop: the workers key changes nothing there
+        ignored = {"workers"} if subcommand in ("solve-landscape", "selftest") else set()
+        assert set(cfg) - cfg.read == {"output_dir", *ignored}
+
+    @pytest.mark.parametrize("subcommand", sorted(SMOKE_CONFIGS))
     def test_runs_to_a_documented_exit_code(self, tmp_path, subcommand):
         cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS[subcommand])
         # a valid config ends in any documented code but a validation error
@@ -296,6 +315,16 @@ class TestEverySubcommand:
         # both would name curve_lambda_1.csv
         ("lambda-scaling", "lambdas", [1.0, 1.0000001]),
         ("lambda-scaling", "lambdas", [2.0, 2.0]),
+        # an int key or element is a JSON number too: past the float range it is no int
+        pytest.param("green-decay", "L", 10 ** 400, id="green-decay-L-10**400"),
+        pytest.param("vertical-derivative", "z_offsets", [1, 10 ** 400],
+                     id="vertical-derivative-z_offsets-10**400"),
+        # a coarse diameter lies in [0, L), and a coarse box needs 4 vertices per side
+        ("cluster-tail", "diam_min", -1),
+        ("cluster-tail", "diam_max", 34),       # > L = 33
+        ("cluster-tail", "diam_max", 10 ** 10),
+        ("cluster-tail", "k", 10 ** 18),
+        ("fpp-kesten", "k", 10 ** 18),
     ])
     def test_bad_list_or_margin_exits_2(self, tmp_path, subcommand, key, value):
         given = dict(SMOKE_CONFIGS[subcommand], **dict.fromkeys(key.split(","), value))
@@ -307,9 +336,13 @@ class TestEverySubcommand:
         ("eta-convergence", "ratio_lo", 5.0), ("eta-convergence", "ratio_hi", 20.0),
         ("rank-one-check", "max_rel_error", 1e-6), ("agmon-check", "mus", [0.0, 0.1]),
         ("agmon-check", "weight_cap", 4.0), ("agmon-check", "cutoff_inner", 1.0),
-        ("agmon-check", "cutoff_outer", 7.0)])
+        ("agmon-check", "cutoff_outer", 7.0),
+        *[(subcommand, "tol", 1e-3) for subcommand in (
+            "eta-convergence", "rank-one-check", "fpp-kesten", "cluster-tail",
+            "anchor-1d", "selftest")]])
     def test_removed_key_exits_2(self, tmp_path, capsys, subcommand, key, value):
-        # verdict thresholds and Agmon weights are constants, not config keys
+        # verdict thresholds and Agmon weights are constants, not config keys, and
+        # tol is a key only where a solve runs at it
         cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], **{key: value}))
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -469,6 +502,10 @@ class TestEffectiveConfig:
         assert out["gamma"] == law.upper_quantile() == 0.75
         assert out["k"] == choose_k(law, 0.75, 2)
         assert validate_config("fpp-kesten", dict(fpp, gamma=0.5, k=2))["k"] == 2
+        # diam_max <= L holds for its default too
+        tail = {"d": 1, "L": 8, "law": LAW, "gamma": 0.5, "k": 1, "n_samples": 1}
+        assert validate_config("cluster-tail", tail)["diam_max"] == 8
+        assert validate_config("cluster-tail", dict(tail, L=33))["diam_max"] == 10
 
 
 class TestManifest:

@@ -333,6 +333,17 @@ class TestCovariance:
         for a, b in zip(suite["inv_u"], single):
             assert a.cov == b.cov and a.ci == b.ci
 
+    def test_derived_fields_once_per_sample(self, monkeypatch):
+        calls = []
+        derived = stats.derived_fields
+        monkeypatch.setattr(stats, "derived_fields", lambda sol: calls.append(1) or derived(sol))
+        covariance_suite(setup_1d(), ["u"], [2, 6], 5, 9)
+        assert calls == []      # u alone needs neither 1/u nor grad log u
+        both = covariance_suite(setup_1d(), ["inv_u", "grad_log_u"], [2, 6], 5, 9)
+        assert len(calls) == 5
+        single = covariance_suite(setup_1d(), ["grad_log_u"], [2, 6], 5, 9)["grad_log_u"]
+        assert both["grad_log_u"] == single
+
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigurationError):
             covariance_suite(setup_1d(), ["potential"], [3], 10, 0)
