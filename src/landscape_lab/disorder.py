@@ -206,7 +206,8 @@ def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarFie
     """Rasterize V(x) = w_{j(x)} phi(x - j(x)) on the grid nodes.
 
     The bump radius is < 1/2, so only the nearest lattice site can contribute
-    at any node.
+    at any node.  The bump is evaluated only on the open mesh of the nodes
+    within its radius of their site on every axis; every other node is 0.
     """
     from .lattice import ScalarField  # local import to avoid a cycle
 
@@ -220,8 +221,10 @@ def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarFie
     coords = grid.axis_coords  # shape (n,)
     nearest = np.clip(np.rint(coords).astype(int), 0, grid.L - 1)
     offset = coords - nearest
+    near = np.flatnonzero(np.abs(offset) < bump.radius)
     # squared distance to the nearest site, summed axis by axis over an open mesh
-    dist2 = sum(o ** 2 for o in np.ix_(*[offset] * grid.d))
-    amp = omega.values[np.ix_(*[nearest] * grid.d)]
-    v = amp * bump.evaluate(np.sqrt(dist2))
+    dist2 = sum(o ** 2 for o in np.ix_(*[offset[near]] * grid.d))
+    amp = omega.values[np.ix_(*[nearest[near]] * grid.d)]
+    v = np.zeros(grid.shape)
+    v[np.ix_(*[near] * grid.d)] = amp * bump.evaluate(np.sqrt(dist2))
     return ScalarField(grid=grid, values=v)

@@ -59,18 +59,20 @@ def eta_convergence_study(omega: OmegaField, bump: BumpProfile, grid: Grid,
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ConfigurationError("etas must be a strictly decreasing list of >= 3 entries")
     V = assemble_potential(omega, bump, grid)
-    sols = {}
-    for eta in etas:
+
+    def solve(eta):
         H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
-        sols[eta] = solve_landscape(H, tol=tol).u.values
-    ref = sols[etas[-1]]
+        return solve_landscape(H, tol=tol).u.values
+
+    # the reference first, then one other solution at a time
+    ref = solve(etas[-1])
     win = (slice(2 * grid.m, grid.n_per_side - 2 * grid.m),) * grid.d
     rows = []
     for eta in etas[:-1]:
-        diff = sols[eta] - ref
-        gdiff = np.sqrt(forward_gradient_sq(diff, grid, boundary="edge"))
+        diff = solve(eta) - ref
         sup_diff = float(np.abs(diff[win]).max())
-        sup_grad = float(gdiff[win].max())
+        sup_grad = float(np.sqrt(forward_gradient_sq(diff, grid, boundary="edge"))[win].max())
+        del diff
         rows.append(EtaRow(eta=eta, sup_diff=sup_diff, sup_grad_diff=sup_grad,
                            ratio_to_eta=sup_diff / eta))
     return rows

@@ -113,8 +113,9 @@ class HamiltonianSpec:
         if not np.isfinite(top):    # python floats overflow to inf without a warning
             raise ConfigurationError("operator diagonal 2d m^2 + lambda*max V + eta overflows")
         if self.grid.bc == "periodic" and self.eta + self.lam * v_max <= 0.0:
-            raise SingularOperatorError(
-                "periodic operator with eta = 0 and lambda*V = 0 is singular")
+            # with lambda = 0 too it is singular for every omega: a config error
+            error = SingularOperatorError if self.lam > 0.0 else ConfigurationError
+            raise error("periodic operator with eta = 0 and lambda*V = 0 is singular")
 
     @cached_property    # once per operator; a frozen dataclass without slots allows it
     def diagonal(self) -> np.ndarray:
@@ -122,26 +123,26 @@ class HamiltonianSpec:
                 + self.lam * self.potential.values + self.eta)
 
 
-def _neighbor_sum(values: np.ndarray, bc: str) -> np.ndarray:
-    out = np.zeros_like(values)
-    for ax in range(values.ndim):
-        if bc == "periodic":
-            out += np.roll(values, 1, axis=ax)
-            out += np.roll(values, -1, axis=ax)
-        else:
-            lo = [slice(None)] * values.ndim
-            hi = [slice(None)] * values.ndim
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            out[tuple(hi)] += values[tuple(lo)]
-            out[tuple(lo)] += values[tuple(hi)]
-    return out
-
-
-def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray) -> np.ndarray:
+def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray, out=None,
+                      scratch=None) -> np.ndarray:
     """H v on node values: (2d+1)-point stencil; Dirichlet reads zeros outside,
-    periodic wraps."""
-    return H.diagonal * v - H.grid.m ** 2 * _neighbor_sum(v, H.grid.bc)
+    periodic wraps.  The neighbour sum goes into scratch, H v into out (fresh
+    arrays when None); v may not share memory with either."""
+    nsum = np.empty_like(v) if scratch is None else scratch
+    nsum.fill(0.0)
+    for ax in range(v.ndim):
+        if H.grid.bc == "periodic":
+            nsum += np.roll(v, 1, axis=ax)
+            nsum += np.roll(v, -1, axis=ax)
+        else:
+            lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(v.ndim))
+            hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(v.ndim))
+            nsum[hi] += v[lo]
+            nsum[lo] += v[hi]
+    nsum *= H.grid.m ** 2
+    out = np.multiply(H.diagonal, v, out=out)
+    out -= nsum
+    return out
 
 
 def cell_reduce(values: np.ndarray, grid: Grid, ufunc) -> np.ndarray:
@@ -181,8 +182,8 @@ def _tridiagonal_solver(diag: np.ndarray, c: float):
         levels.append((inv_even, left, right, alpha, gamma))
     inv_last, top = 1.0 / b[0], (1 << len(levels)) - 1
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        x = r.copy()
+    def solve(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        x = np.positive(r, out=out)    # a copy of r, in out if given
         for level, (_, _, _, alpha, gamma) in enumerate(levels):
             unknowns = x[(1 << level) - 1::1 << level]
             even, odd = unknowns[0::2], unknowns[1::2]
@@ -201,39 +202,51 @@ def _tridiagonal_solver(diag: np.ndarray, c: float):
 
 
 def _preconditioner(H: HamiltonianSpec):
-    """r -> M^-1 r.  1-d Dirichlet: the operator's own inverse, M = H, by cyclic
-    reduction.  Else M = -Lap_h + eta + lambda*mean(V), diagonal in a real FFT
-    basis (periodic, numpy.fft) or in the Dirichlet stencil's own DST-I basis,
-    so M = H exactly when V is constant.  The DST-I is the symmetric orthogonal
-    matrix S[i, j] = sqrt(2/(n+1)) sin(pi (i+1) (j+1) / (n+1)), S S = I,
-    applied by matmul on each axis (fast diagonalization).  The factor, the
-    eigenvalues and S are computed once per call, for every CG step of one solve.
+    """(r, out=None, scratch=None) -> M^-1 r, into out with scratch as work space
+    where given.  1-d Dirichlet: M = H, by cyclic reduction.  Else M = -Lap_h +
+    eta + lambda*mean(V), diagonal in a real FFT basis (periodic, numpy.fft,
+    fresh arrays) or in the Dirichlet stencil's own DST-I basis, so M = H exactly
+    when V is constant.  The DST-I is the symmetric orthogonal matrix S[i, j] =
+    sqrt(2/(n+1)) sin(pi (i+1) (j+1) / (n+1)), S S = I, applied by matmul on each
+    axis (fast diagonalization).  The factor, the eigenvalues and S are computed
+    once per call, for every CG step of one solve.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         return _tridiagonal_solver(H.diagonal, float(H.grid.m ** 2))
-    n, periodic = H.grid.n_per_side, H.grid.bc == "periodic"
+    n, d, periodic = H.grid.n_per_side, H.grid.d, H.grid.bc == "periodic"
     # 1-d eigenvalues 4 m^2 sin^2(theta_k): pi k / n for k = 0..n-1 periodic,
     # pi k / (2n + 2) for k = 1..n DST-I
     theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
     eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
-    axes = [eig] * H.grid.d
+    axes = [eig] * d
     if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
         axes[-1] = eig[:n // 2 + 1]
     scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
     if periodic:
-        dims = tuple(range(H.grid.d))
-        return lambda r: np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=dims)
+        dims = tuple(range(d))
+        return lambda r, out=None, scratch=None: np.fft.irfftn(
+            scale * np.fft.rfftn(r), s=r.shape, axes=dims)
     # S takes 2(n+1) distinct values, one per residue of i j mod 2(n+1), the period
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
     k = np.arange(1, n + 1)
     S = sines[np.outer(k, k) % (2 * n + 2)]
 
-    def sine_transform(y: np.ndarray) -> np.ndarray:
-        y = y @ S              # last axis
-        if y.ndim == 3:
-            y = S @ y          # middle axis
-        return (S @ y.reshape(n, -1)).reshape(y.shape)   # first axis
-    return lambda r: sine_transform(scale * sine_transform(r))
+    def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        # S on every axis, scale, S again: 2d matmuls into scratch and out in turn
+        y, bufs = r, [np.empty_like(r) if a is None else a for a in (scratch, out)]
+        for step in range(2 * d):
+            if step == d:
+                y *= scale
+            o, axis = bufs[step % 2], step % d
+            if axis == 0:                # last axis
+                np.matmul(y, S, out=o)
+            elif axis < d - 1:           # middle axis (3-d)
+                np.matmul(S, y, out=o)
+            else:                        # first axis
+                np.matmul(S, y.reshape(n, -1), out=o.reshape(n, -1))
+            y = o
+        return y
+    return precondition
 
 
 def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
@@ -258,31 +271,36 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     if bnorm == 0.0:
         return ScalarField(grid=H.grid, values=np.zeros_like(b))
     precond = _preconditioner(H)
-    x = np.zeros_like(b)
-    r = b.copy()
-    done, checked, p = 0, np.inf, None   # p None: steepest-descent (re)start
+    # the whole workspace; z and Ap double as the stencil's and the preconditioner's scratch
+    x, r = np.zeros_like(b), b.copy()
+    z, p, Ap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    done, checked, restart = 0, np.inf, True   # restart: steepest-descent step
     while done < max_iter:
-        z = precond(r)
+        z = precond(r, z, Ap)
         rz_new = float(np.vdot(r, z))
-        p = z if p is None else z + (rz_new / rz) * p
-        rz = rz_new
-        Ap = apply_hamiltonian(H, p)
+        if restart:
+            np.copyto(p, z)
+        else:
+            p *= rz_new / rz
+            p += z
+        rz, restart = rz_new, False
+        Ap = apply_hamiltonian(H, p, Ap, z)
         pAp = float(np.vdot(p, Ap))
         if not pAp > 0.0:
             break
         done += 1
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, Ap, out=z)
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:   # guard against recurrence drift
-            r = b - apply_hamiltonian(H, x)
+            np.subtract(b, apply_hamiltonian(H, x, r, z), out=r)
             relres = float(np.linalg.norm(r)) / bnorm
             if relres <= tol:
                 return ScalarField(grid=H.grid, values=x)
             if relres >= checked:
                 break
-            checked, p = relres, None
+            checked, restart = relres, True
     relres = float(np.linalg.norm(b - apply_hamiltonian(H, x))) / bnorm
     raise SolverNonConvergenceError(
         f"CG stopped above tol={tol} after {done} of {max_iter} "

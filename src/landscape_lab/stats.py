@@ -260,14 +260,14 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
 def _vert_sample(i, setup, master_seed, offsets):
     grid = setup.grid()
     omega = setup.omega(master_seed, i)
-    u = solve_landscape(setup.operator(omega), tol=setup.tol).u.values
     center = grid.center_node
+    u = solve_landscape(setup.operator(omega), tol=setup.tol).u.values[center]
     out = np.empty(len(offsets))
     for oi, off in enumerate(offsets):
         z = (grid.L // 2 + off,) + grid.center_cell[1:]
         omega_z = resample_site(omega, z, resample_seed=i * 65536 + oi)
-        uz = solve_landscape(setup.operator(omega_z), tol=setup.tol).u.values
-        out[oi] = (u[center] - uz[center]) ** 2
+        uz = solve_landscape(setup.operator(omega_z), tol=setup.tol).u.values[center]
+        out[oi] = (u - uz) ** 2
     return out
 
 

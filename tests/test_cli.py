@@ -419,6 +419,10 @@ class TestOutputDirectory:
         ("eta-convergence", {"etas": [1e-2, 1e-3]}, 2),
         ("fpp-kesten", {"radii": [2, 1]}, 2),
         ("fpp-kesten", {"radii": [-1, 1]}, 2),
+        # periodic with lambda = 0 and eta = 0: singular for every omega
+        ("solve-landscape", {"bc": "periodic", "lambda": 0.0, "eta": 0.0}, 2),
+        ("energy-check", {"lambda": 0.0, "eta": 0.0}, 2),
+        ("green-decay", {"bc": "periodic", "lambda": 0.0, "eta": 0.0}, 2),
     ])
     def test_absent_or_complete(self, tmp_path, subcommand, change, code):
         out = tmp_path / "out"

@@ -247,6 +247,19 @@ class TestAssemblePotential:
         far = np.abs(x - np.rint(x)) >= 0.1
         assert np.all(V.values[far] == 0.0)
 
+    @pytest.mark.parametrize("d, L, m", [(1, 16, 20), (2, 8, 20), (2, 7, 27), (3, 4, 24)])
+    def test_bits_match_full_grid_formula(self, d, L, m):
+        # the bump evaluated on every node, as before rasterization kept only
+        # the nodes it reaches
+        omega = sample_omega(uniform01(), (L,) * d, 7, 1)
+        grid, bump = Grid(d=d, L=L, m=m), default_bump()
+        coords = grid.axis_coords
+        nearest = np.clip(np.rint(coords).astype(int), 0, grid.L - 1)
+        dist2 = sum(o ** 2 for o in np.ix_(*[coords - nearest] * d))
+        full = omega.values[np.ix_(*[nearest] * d)] * bump.evaluate(np.sqrt(dist2))
+        V = assemble_potential(omega, bump, grid).values
+        assert V.tobytes() == full.tobytes()
+
     def test_coarse_mesh_rejected(self):
         omega = omega_from_values(np.zeros(6))
         grid = Grid(d=1, L=6, m=10)

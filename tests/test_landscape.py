@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,18 @@ class TestEtaConvergence:
                                      [1e-2, 1e-3, 1e-4], tol=1e-11)
         ratio = rows[0].sup_diff / rows[1].sup_diff
         assert 5.0 <= ratio <= 20.0
+
+    def test_holds_one_solution_besides_the_reference(self):
+        # holding every solution peaks at 15.2 node arrays with four etas
+        omega = sample_omega(LAW, (16, 16), 5, 1)
+        grid = Grid(d=2, L=16, m=20)
+        tracemalloc.start()
+        try:
+            eta_convergence_study(omega, BUMP, grid, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * 8 * grid.n_nodes
 
     def test_too_few_etas_rejected(self):
         omega = sample_omega(LAW, (8,), 0, 0)
