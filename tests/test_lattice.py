@@ -366,7 +366,7 @@ print(json.dumps(loaded))
 
 
 class TestScipyFreeRuntime:
-    """scipy is loaded only by the direct oracle and selftest."""
+    """scipy is loaded only by the direct oracle."""
 
     def test_cli_paths_load_no_scipy(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
@@ -382,7 +382,8 @@ class TestScipyFreeRuntime:
                               "n_samples": 2}),
             ("vertical-derivative", {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"},
                                      "lambda": 1.0, "eta": 1e-3, "z_offsets": [1, 2, 3],
-                                     "n_samples": 1})]
+                                     "n_samples": 1}),
+            ("selftest", {})]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(runs),
