@@ -126,8 +126,7 @@ class HamiltonianSpec:
 def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray, out=None,
                       scratch=None) -> np.ndarray:
     """H v on node values: (2d+1)-point stencil; Dirichlet reads zeros outside,
-    periodic wraps.  The neighbour sum goes into scratch, H v into out (fresh
-    arrays when None); v may not share memory with either."""
+    periodic wraps.  H v goes into out, the neighbour sum into scratch, if given."""
     nsum = np.empty_like(v) if scratch is None else scratch
     nsum.fill(0.0)
     for ax in range(v.ndim):
@@ -249,6 +248,11 @@ def _preconditioner(H: HamiltonianSpec):
     return precondition
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) outside BLAS, whose ddot splits a sum across its threads."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
              max_iter: int | None = None) -> ScalarField:
     """Preconditioned CG down to ||A f - rhs|| <= tol * ||rhs||.
@@ -260,14 +264,14 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     stencil's true residual accepts an answer; a failed check restarts CG from
     it.  A stall (p.Ap <= 0, or a true residual that does not fall between two
     checks) raises like max_iter does, reporting the true relres.  Fixed order
-    and plain numpy reductions keep the result bit-stable across runs.
+    and reductions outside BLAS give the same bits at any BLAS thread count.
     """
     if rhs.grid != H.grid:
         raise GridMismatchError("rhs and Hamiltonian grids differ")
     if max_iter is None:
         max_iter = 20 * H.grid.n_per_side * H.grid.d
     b = rhs.values
-    bnorm = float(np.linalg.norm(b))
+    bnorm = np.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return ScalarField(grid=H.grid, values=np.zeros_like(b))
     precond = _preconditioner(H)
@@ -277,7 +281,7 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     done, checked, restart = 0, np.inf, True   # restart: steepest-descent step
     while done < max_iter:
         z = precond(r, z, Ap)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         if restart:
             np.copyto(p, z)
         else:
@@ -285,23 +289,24 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
             p += z
         rz, restart = rz_new, False
         Ap = apply_hamiltonian(H, p, Ap, z)
-        pAp = float(np.vdot(p, Ap))
+        pAp = _dot(p, Ap)
         if not pAp > 0.0:
             break
         done += 1
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=z)
         r -= np.multiply(alpha, Ap, out=z)
-        relres = float(np.linalg.norm(r)) / bnorm
+        relres = np.sqrt(_dot(r, r)) / bnorm
         if relres <= tol:   # guard against recurrence drift
             np.subtract(b, apply_hamiltonian(H, x, r, z), out=r)
-            relres = float(np.linalg.norm(r)) / bnorm
+            relres = np.sqrt(_dot(r, r)) / bnorm
             if relres <= tol:
                 return ScalarField(grid=H.grid, values=x)
             if relres >= checked:
                 break
             checked, restart = relres, True
-    relres = float(np.linalg.norm(b - apply_hamiltonian(H, x))) / bnorm
+    np.subtract(b, apply_hamiltonian(H, x, r, z), out=r)
+    relres = np.sqrt(_dot(r, r)) / bnorm
     raise SolverNonConvergenceError(
         f"CG stopped above tol={tol} after {done} of {max_iter} "
         f"iterations (true relres={relres:.3e})")

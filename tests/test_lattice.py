@@ -394,6 +394,33 @@ class TestScipyFreeRuntime:
         assert loaded == {key: [] for key in keys}
 
 
+# Run in a fresh interpreter, whose BLAS thread count is set before numpy
+# loads: the digest of a 2-d Green column's bytes (25 600 nodes).
+BLAS_THREADS_PROBE = """
+import hashlib
+from landscape_lab.disorder import assemble_potential, default_bump, sample_omega, uniform01
+from landscape_lab.green import delta_rhs
+from landscape_lab.lattice import Grid, HamiltonianSpec, cg_solve
+grid = Grid(d=2, L=8, m=20)
+omega = sample_omega(uniform01(), (grid.L, grid.L), 5, 1)
+H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
+                    potential=assemble_potential(omega, default_bump(), grid))
+G = cg_solve(H, delta_rhs(grid, grid.center_node))
+print(hashlib.sha256(G.values.tobytes()).hexdigest())
+"""
+
+
+def test_solve_bits_do_not_depend_on_blas_threads():
+    # BLAS ddot splits a sum of more than about 10^4 terms across its threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = {subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       OPENBLAS_NUM_THREADS=str(threads)),
+                              capture_output=True, text=True).stdout
+               for threads in (1, 2)}
+    assert len(digests) == 1
+
+
 class TestStall:
     """Tolerances below round-off end in SolverNonConvergenceError, quickly."""
 
