@@ -17,6 +17,7 @@ from .errors import (ConfigurationError, GridMismatchError,
                      SingularOperatorError, SolverNonConvergenceError)
 
 _MAX_DENSE_NODES = 10_000
+_SLAB = 1 << 13     # nodes per slab of the spectral preconditioners' scale: 64 KB
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "ScalarField":
-        return cls(grid=grid, values=np.full(grid.shape, float(c)))
+        """c on every node: a read-only broadcast view that holds no node array."""
+        return cls(grid=grid, values=np.broadcast_to(float(c), grid.shape))
 
 
 @dataclass(frozen=True)
@@ -130,14 +132,12 @@ def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray, out=None,
     nsum = np.empty_like(v) if scratch is None else scratch
     nsum.fill(0.0)
     for ax in range(v.ndim):
-        if H.grid.bc == "periodic":
-            nsum += np.roll(v, 1, axis=ax)
-            nsum += np.roll(v, -1, axis=ax)
-        else:
-            lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(v.ndim))
-            hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(v.ndim))
-            nsum[hi] += v[lo]
-            nsum[lo] += v[hi]
+        lo, hi, first, last = ((slice(None),) * ax + (s,) for s in (
+            slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
+        # (into, from), each node's left neighbour before its right one, as np.roll added
+        adds = [(hi, lo), (first, last), (lo, hi), (last, first)]
+        for into, src in adds if H.grid.bc == "periodic" else adds[::2]:
+            nsum[into] += v[src]
     nsum *= H.grid.m ** 2
     out = np.multiply(H.diagonal, v, out=out)
     out -= nsum
@@ -203,9 +203,9 @@ def _tridiagonal_solver(diag: np.ndarray, c: float):
 def _preconditioner(H: HamiltonianSpec):
     """(r, out=None, scratch=None) -> M^-1 r, into out with scratch as work space
     where given.  1-d Dirichlet: M = H, by cyclic reduction.  Else M = -Lap_h +
-    eta + lambda*mean(V), diagonal in a real FFT basis (periodic, numpy.fft,
-    fresh arrays) or in the Dirichlet stencil's own DST-I basis, so M = H exactly
-    when V is constant.  The DST-I is the symmetric orthogonal matrix S[i, j] =
+    eta + lambda*mean(V), diagonal in a real FFT basis (periodic, numpy.fft) or
+    in the Dirichlet stencil's own DST-I basis, so M = H exactly when V is
+    constant.  The DST-I is the symmetric orthogonal matrix S[i, j] =
     sqrt(2/(n+1)) sin(pi (i+1) (j+1) / (n+1)), S S = I, applied by matmul on each
     axis (fast diagonalization).  The factor, the eigenvalues and S are computed
     once per call, for every CG step of one solve.
@@ -220,11 +220,24 @@ def _preconditioner(H: HamiltonianSpec):
     axes = [eig] * d
     if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
         axes[-1] = eig[:n // 2 + 1]
-    scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
+    shift, (first, *rest) = H.eta + H.lam * float(H.potential.values.mean()), np.ix_(*axes)
+    row = tuple(e.size for e in axes[1:])
+    slab = np.empty((max(1, _SLAB // np.prod(row, dtype=int)),) + row)
+
+    def rescale(y: np.ndarray) -> np.ndarray:
+        """y *= 1 / (shift + sum of eigenvalues), one slab of first-axis rows at a time."""
+        for start in range(0, len(first), len(slab)):
+            t = slab[:len(first) - start]
+            np.copyto(t, first[start:start + len(t)])
+            for e in rest:      # shift + ((e_i + e_j) + e_k), the order of sum(np.ix_)
+                t += e
+            t += shift
+            y[start:start + len(t)] *= np.divide(1.0, t, out=t)
+        return y
     if periodic:
         dims = tuple(range(d))
         return lambda r, out=None, scratch=None: np.fft.irfftn(
-            scale * np.fft.rfftn(r), s=r.shape, axes=dims)
+            rescale(np.fft.rfftn(r)), s=r.shape, axes=dims, out=out)
     # S takes 2(n+1) distinct values, one per residue of i j mod 2(n+1), the period
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
     k = np.arange(1, n + 1)
@@ -235,7 +248,7 @@ def _preconditioner(H: HamiltonianSpec):
         y, bufs = r, [np.empty_like(r) if a is None else a for a in (scratch, out)]
         for step in range(2 * d):
             if step == d:
-                y *= scale
+                rescale(y)
             o, axis = bufs[step % 2], step % d
             if axis == 0:                # last axis
                 np.matmul(y, S, out=o)

@@ -84,6 +84,53 @@ class TestGridValidation:
             ScalarField(grid=grid, values=v)
 
 
+def roll_stencil(H, v):
+    """H v with each axis's neighbours summed from np.roll copies (periodic) or
+    slices (Dirichlet): the stencil as first written, a reference for its bits."""
+    nsum = np.zeros_like(v)
+    for ax in range(v.ndim):
+        if H.grid.bc == "periodic":
+            nsum += np.roll(v, 1, axis=ax)
+            nsum += np.roll(v, -1, axis=ax)
+        else:
+            lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(v.ndim))
+            hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(v.ndim))
+            nsum[hi] += v[lo]
+            nsum[lo] += v[hi]
+    nsum *= H.grid.m ** 2
+    return H.diagonal * v - nsum
+
+
+def full_scale_preconditioner(H, r):
+    """M^-1 r with the scale 1 / (shift + sum of eigenvalues) held as one full
+    array, as the spectral preconditioners were first written: a reference
+    for the bits of the slab-by-slab scale."""
+    n, d, periodic = H.grid.n_per_side, H.grid.d, H.grid.bc == "periodic"
+    theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
+    eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
+    axes = [eig] * d
+    if periodic:
+        axes[-1] = eig[:n // 2 + 1]
+    scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
+    if periodic:
+        return np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=tuple(range(d)))
+    sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
+    k = np.arange(1, n + 1)
+    S = sines[np.outer(k, k) % (2 * n + 2)]
+    y = r
+    for step in range(2 * d):
+        if step == d:
+            y = y * scale
+        axis = step % d
+        if axis == 0:
+            y = np.matmul(y, S)
+        elif axis < d - 1:
+            y = np.matmul(S, y)
+        else:
+            y = np.matmul(S, y.reshape(n, -1)).reshape(r.shape)
+    return y
+
+
 class TestApplyHamiltonian:
     def test_constants_periodic(self):
         grid = Grid(d=1, L=8, m=20, bc="periodic")
@@ -110,6 +157,14 @@ class TestApplyHamiltonian:
         out = apply_hamiltonian(H, f)
         expect = dense_matrix(H) @ f.ravel()
         assert np.allclose(out.ravel(), expect, atol=1e-10)
+
+    @pytest.mark.parametrize("d, L, m, bc", [
+        (1, 8, 20, "periodic"), (2, 8, 11, "periodic"), (3, 4, 5, "periodic"),
+        (1, 8, 20, "dirichlet"), (2, 8, 11, "dirichlet"), (3, 4, 5, "dirichlet")])
+    def test_same_bits_as_roll_stencil(self, d, L, m, bc):
+        H = random_spec(d=d, L=L, m=m, bc=bc, seed=6)
+        v = np.random.default_rng(7).standard_normal(H.grid.shape)
+        assert apply_hamiltonian(H, v).tobytes() == roll_stencil(H, v).tobytes()
 
     def test_symmetry_and_positive_definiteness(self):
         H = random_spec(L=6, m=5, eta=0.2, seed=3)
@@ -304,25 +359,53 @@ class TestSpectralPreconditioner:
 
 
 class TestLeanSolve:
-    """A solve holds x, r, z, p, Ap and the preconditioner's scale: the
-    stencil and the preconditioners write into buffers the solve passes them."""
+    """A solve holds x, r, z, p and Ap, besides the operator: the stencil and
+    the preconditioners write into buffers the solve passes them, the spectral
+    scale is built one slab at a time, and a constant right-hand side is a
+    broadcast view."""
 
-    @pytest.mark.parametrize("d, L, bound", [(2, 16, 7.5), (3, 4, 6.5)])
-    def test_peak_node_arrays(self, d, L, bound):
-        # with a temporary per step the peak is 9.2 (2-d) and 8.1 (3-d)
-        grid = Grid(d=d, L=L, m=20)
+    @pytest.mark.parametrize("d, L, bc, rhs_kind, bound", [
+        (2, 16, "dirichlet", "delta", 6.5), (3, 4, "dirichlet", "delta", 5.5),
+        (2, 16, "dirichlet", "ones", 6.5), (3, 4, "dirichlet", "ones", 5.5),
+        (2, 16, "periodic", "ones", 7.5)])
+    def test_peak_node_arrays(self, d, L, bc, rhs_kind, bound):
+        # with a full-size scale and rhs of ones: Green 7.24 (2-d) and 6.14 (3-d),
+        # landscape 8.24 and 7.14, periodic 8.67 with np.roll copies and fresh FFT results
+        grid = Grid(d=d, L=L, m=20, bc=bc)
         omega = sample_omega(uniform01(), (L,) * d, 5, 1)
         H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
                             potential=assemble_potential(omega, default_bump(), grid))
-        rhs = delta_rhs(grid, grid.center_node)
+        delta = delta_rhs(grid, grid.center_node) if rhs_kind == "delta" else None
         H.diagonal    # the operator's own array, built before tracing
         tracemalloc.start()
-        try:
-            cg_solve(H, rhs)
+        try:   # the landscape's right-hand side is made inside the traced region
+            cg_solve(H, delta or ScalarField.constant(grid, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound * 8 * grid.n_nodes
+
+    def test_constant_field_is_a_read_only_view(self):
+        H = random_spec(d=2, L=8, m=11, seed=2)
+        ones = ScalarField.constant(H.grid, 1.0)
+        assert ones.values.base is not None and ones.values.strides == (0, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            ones.values[0, 0] = 2.0
+        dense = ScalarField(grid=H.grid, values=np.ones(H.grid.shape))
+        assert cg_solve(H, ones).values.tobytes() == cg_solve(H, dense).values.tobytes()
+
+    @pytest.mark.parametrize("slab", [lattice._SLAB, 300])
+    @pytest.mark.parametrize("d, L, m, bc", [
+        (1, 32, 20, "periodic"), (2, 8, 11, "periodic"), (3, 4, 11, "periodic"),
+        (2, 8, 11, "dirichlet"), (3, 4, 11, "dirichlet")])
+    def test_slab_scale_gives_the_full_scale_bits(self, d, L, m, bc, slab, monkeypatch):
+        # 3-d at the default slab and every grid but 3-d at 300 nodes end in a
+        # part slab: 44 first-axis rows in slabs of 16 or 32, 88 in slabs of 3 or 6
+        monkeypatch.setattr(lattice, "_SLAB", slab)
+        H = random_spec(d=d, L=L, m=m, bc=bc, seed=8)
+        r = np.random.default_rng(9).standard_normal(H.grid.shape)
+        z = lattice._preconditioner(H)(r)
+        assert z.tobytes() == full_scale_preconditioner(H, r).tobytes()
 
     @pytest.mark.parametrize("d, L, m, bc", [
         (1, 8, 20, "dirichlet"), (2, 8, 11, "dirichlet"), (3, 4, 5, "dirichlet"),
@@ -335,6 +418,7 @@ class TestLeanSolve:
         assert out.tobytes() == apply_hamiltonian(H, v).tobytes()
         precond = lattice._preconditioner(H)
         z = precond(v, out, scratch)
+        assert z is out
         assert z.tobytes() == precond(v).tobytes()
 
 
