@@ -4,7 +4,7 @@
     python3 tools/outputs_diff.py TREE_A TREE_B [--work DIR]
 
 The cases are the ``SMOKE_CONFIGS`` of tests/test_cli.py and the invocations
-of perfbench/workloads.py, both read from this checkout, then ``ATOM_CASES``;
+of perfbench/workloads.py, both read from this checkout, then ``EXTRA_CASES``;
 each runs at master seed 101 with 1 and with 2 workers.  A run is ``python -m
 landscape_lab.cli`` in a fresh interpreter with only that tree's ``src`` on
 PYTHONPATH, one BLAS thread and no bytecode written, in a work directory
@@ -30,15 +30,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = "manifest.json"
 SEED, WORKERS = 101, (1, 2)
-# The smoke configs and the benchmark draw Bernoulli and uniform sites only.  These
-# draw from a discrete_atoms table listed out of value order, with a repeated
-# atom, and take k (cluster-tail) and gamma (anchor-1d) from the law's defaults.
+# The smoke configs and the benchmark draw Bernoulli and uniform sites only, and
+# solve periodic in 1-d only.  The atom cases draw from a discrete_atoms table
+# listed out of value order, with a repeated atom, and take k (cluster-tail) and
+# gamma (anchor-1d) from the law's defaults.  The last case solves periodic in
+# 2-d: the stencil's wrap entries and the real FFT preconditioner on a plane.
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
-ATOM_CASES = [
+EXTRA_CASES = [
     ("cluster-tail-atoms", "cluster-tail",
      {"d": 2, "L": 33, "law": ATOMS, "gamma": 0.5, "n_samples": 2}),
     ("anchor-1d-atoms", "anchor-1d", {"L": 32, "law": ATOMS, "n_samples": 5}),
+    ("energy-check-2d", "energy-check",
+     {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
+      "eta": 1e-3, "n_samples": 2}),
 ]
 
 
@@ -67,13 +72,13 @@ def workloads(path: Path) -> dict:
 
 def cases() -> list:
     """(name, subcommand, config): every smoke config, every benchmark invocation,
-    then the atom cases."""
+    then the extra cases."""
     found = [(sub, sub, cfg)
              for sub, cfg in smoke_configs(ROOT / "tests" / "test_cli.py").items()]
     for name, workload in workloads(ROOT / "perfbench" / "workloads.py").items():
         found += [(f"{name}-{inv.subcommand}", inv.subcommand, inv.config)
                   for inv in workload.invocations]
-    return found + ATOM_CASES
+    return found + EXTRA_CASES
 
 
 def run_cli(tree: Path, subcommand: str, config: Path, workers: int, out: Path) -> int:
