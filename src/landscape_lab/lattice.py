@@ -284,12 +284,12 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     if max_iter is None:
         max_iter = 20 * H.grid.n_per_side * H.grid.d
     b = rhs.values
-    bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        return ScalarField(grid=H.grid, values=np.zeros_like(b))
-    precond = _preconditioner(H)
     # the whole workspace; z and Ap double as the stencil's and the preconditioner's scratch
-    x, r = np.zeros_like(b), b.copy()
+    x, r = np.zeros_like(b), b.copy()   # ||r||: ravel() would copy a broadcast b
+    bnorm = np.sqrt(_dot(r, r))
+    if bnorm == 0.0:
+        return ScalarField(grid=H.grid, values=x)
+    precond = _preconditioner(H)
     z, p, Ap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
     done, checked, restart = 0, np.inf, True   # restart: steepest-descent step
     while done < max_iter:
