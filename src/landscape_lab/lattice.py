@@ -134,7 +134,7 @@ def apply_hamiltonian(H: HamiltonianSpec, v: np.ndarray, out=None,
     for ax in range(v.ndim):
         lo, hi, first, last = ((slice(None),) * ax + (s,) for s in (
             slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
-        # (into, from), each node's left neighbour before its right one, as np.roll added
+        # (into, from): each node adds its left neighbour, then its right one; the bits depend on it
         adds = [(hi, lo), (first, last), (lo, hi), (last, first)]
         for into, src in adds if H.grid.bc == "periodic" else adds[::2]:
             nsum[into] += v[src]
@@ -284,12 +284,12 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     if max_iter is None:
         max_iter = 20 * H.grid.n_per_side * H.grid.d
     b = rhs.values
-    # the whole workspace; z and Ap double as the stencil's and the preconditioner's scratch
     x, r = np.zeros_like(b), b.copy()   # ||r||: ravel() would copy a broadcast b
     bnorm = np.sqrt(_dot(r, r))
     if bnorm == 0.0:
         return ScalarField(grid=H.grid, values=x)
     precond = _preconditioner(H)
+    # the rest of the workspace; z and Ap double as the stencil's and the preconditioner's scratch
     z, p, Ap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
     done, checked, restart = 0, np.inf, True   # restart: steepest-descent step
     while done < max_iter:
