@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, LawValidationError
+from .errors import ConfigurationError, LawValidationError, box_index
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 15   # sites per pass: fastest of 2^12..2^19 at 513², three 256 KB buffers
@@ -191,9 +191,7 @@ def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> 
 
 def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     """Fresh independent draw at site z; every other site untouched."""
-    z = tuple(int(c) for c in np.atleast_1d(z))
-    if len(z) != omega.d or any(not (0 <= c < b) for c, b in zip(z, omega.box)):
-        raise ConfigurationError(f"site {z} outside box {omega.box}")
+    z = box_index(z, omega.box, "site")
     site = int(np.ravel_multi_index(z, omega.box))
     # stream 0 is the original field; odd streams (mod 2^64) are reserved for resampling
     u = _site_uniforms(omega.master_seed, omega.sample_index, 2 * resample_seed + 1, site, 1)

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package: the class decides the outcome
-(a ConfigurationError exits 2, a SolverFailure skips its sample)."""
+(a ConfigurationError exits 2, a SolverFailure skips its sample), and the one
+rule for an index into a box, ``box_index``."""
+
+import numpy as np
 
 
 class LandscapeLabError(Exception):
@@ -40,3 +43,14 @@ class FitError(LandscapeLabError):
 
 class ExperimentError(LandscapeLabError):
     """Too many per-sample failures inside a Monte Carlo experiment."""
+
+
+def box_index(index, shape, what: str) -> tuple:
+    """index (a scalar is a 1-tuple) as a tuple of Python ints, one per axis of
+    shape, each in [0, n); any other index, a non-integral one too (never
+    truncated), raises ConfigurationError naming what."""
+    a = np.atleast_1d(index)
+    if (a.ndim != 1 or a.size != len(shape) or a.dtype.kind not in "iuf"
+            or not np.all((a == np.floor(a)) & (a >= 0) & (a < shape))):
+        raise ConfigurationError(f"{what} {index} is not an index into shape {tuple(shape)}")
+    return tuple(int(c) for c in a.tolist())

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import DEFAULT_TOL
 from .disorder import BumpProfile, OmegaField, assemble_potential
-from .errors import ConfigurationError
+from .errors import ConfigurationError, box_index
 from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
                       forward_gradient_sq)
 
@@ -51,14 +51,12 @@ class AgmonReport:
 def delta_rhs(grid: Grid, node: tuple) -> ScalarField:
     """Discrete delta: h^{-d} at one node so its cell integral is 1."""
     v = np.zeros(grid.shape)
-    v[tuple(int(i) for i in node)] = grid.m ** grid.d
+    v[box_index(node, grid.shape, "source node")] = grid.m ** grid.d
     return ScalarField(grid=grid, values=v)
 
 
 def green_column(H: HamiltonianSpec, x0, tol: float = DEFAULT_TOL) -> GreenColumn:
-    x0 = tuple(int(i) for i in np.atleast_1d(x0))
-    if len(x0) != H.grid.d or any(not (0 <= i < H.grid.n_per_side) for i in x0):
-        raise ConfigurationError(f"source node {x0} outside grid")
+    x0 = box_index(x0, H.grid.shape, "source node")
     f = cg_solve(H, delta_rhs(H.grid, x0), tol=tol)
     return GreenColumn(source=x0, field=f, spec=H, tol=tol)
 
@@ -93,11 +91,8 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
     lam * G(x,.) * (V^- - V) * G^-(., o), where o is the grid's center node
     and V^- the potential with the amplitude at site z forced to 1.
     """
-    z = tuple(int(c) for c in np.atleast_1d(z))
-    if any(not (0 <= c < b) for c, b in zip(z, omega.box)):
-        raise ConfigurationError(f"site {z} outside box {omega.box}")
+    z, x = box_index(z, omega.box, "site"), box_index(x, grid.shape, "node")
     origin, tol = grid.center_node, 1e-12
-    x = tuple(int(i) for i in np.atleast_1d(x))
 
     V = assemble_potential(omega, bump, grid)
     forced = omega.values.copy()

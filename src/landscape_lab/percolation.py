@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, OmegaField, sample_omega
-from .errors import ConfigurationError, LawValidationError
+from .errors import ConfigurationError, LawValidationError, box_index
 from .samples import _pool_map
 
 
@@ -199,10 +199,8 @@ def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
     Closed (weight 0) edges are contracted into components; a breadth-first
     search over the open edges between components gives the passage times.
     """
-    origin = tuple(int(c) for c in np.atleast_1d(origin))
     shape = (g.nc,) * g.d
-    if len(origin) != g.d or any(not (0 <= c < g.nc) for c in origin):
-        raise ConfigurationError(f"origin {origin} outside the coarse graph")
+    origin = box_index(origin, shape, "origin")
     lo, hi, open_ = _edge_list(g)
     comp = _components(g.n_vertices, lo[~open_], hi[~open_])
     hops = _hop_counts(g.n_vertices, comp[lo[open_]], comp[hi[open_]],
@@ -272,8 +270,7 @@ def gap_statistic_1d(omega: OmegaField, gamma: float, y_prime: int) -> GapStatis
     if omega.d != 1:
         raise ConfigurationError("gap statistic is one-dimensional")
     L = omega.box[0]
-    if not (0 <= y_prime < L):
-        raise ConfigurationError(f"site {y_prime} outside box of length {L}")
+    (y_prime,) = box_index(y_prime, omega.box, "site")
     left = np.flatnonzero(omega.values[:y_prime] >= gamma)
     right = np.flatnonzero(omega.values[y_prime + 1:] >= gamma)
     if right.size == 0 or left.size == 0:

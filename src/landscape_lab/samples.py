@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import os
 from itertools import repeat
+from numbers import Integral
 
-from .errors import ExperimentError, SolverFailure
+from .errors import ConfigurationError, ExperimentError, SolverFailure
 
 
 def _attempt(fn, i, args):
@@ -26,9 +27,12 @@ def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
     """{i: fn(i, *args)} over the samples that solved.
 
     Serial or on a pool of min(workers, n_samples, cpu count) processes, in
-    index order.  A solver failure skips its sample with a logged warning,
-    more than 5 % skipped raises ExperimentError, and any other error is raised.
+    index order; n_samples must be an integer >= 1 (ConfigurationError).  A
+    solver failure skips its sample with a logged warning, more than 5 %
+    skipped raises ExperimentError, and any other error is raised.
     """
+    if not isinstance(n_samples, Integral) or n_samples < 1:
+        raise ConfigurationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [_attempt(fn, i, args) for i in range(n_samples)]

@@ -9,7 +9,7 @@ import numpy as np
 from . import DEFAULT_TOL
 from .disorder import (DisorderLaw, OmegaField, assemble_potential, default_bump,
                        resample_site, sample_omega)
-from .errors import ConfigurationError, FitError
+from .errors import ConfigurationError, FitError, box_index
 from .green import all_cell_masses, green_column
 from .landscape import derived_fields, solve_landscape
 from .lattice import Grid, HamiltonianSpec
@@ -82,6 +82,12 @@ def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int) -> np.ndarray:
     return 1.96 * np.nanstd(reps, axis=0, ddof=1)
 
 
+def _moment_curve(distances, rows: np.ndarray, statistic, seed: int) -> MomentCurve:
+    """statistic of the per-sample rows (axis 0), with bootstrap half-widths."""
+    return MomentCurve(distances=np.asarray(distances, dtype=float),
+                       values=statistic(rows), ci=_bootstrap_ci(rows, statistic, seed))
+
+
 # ----------------------------------------------------------------- green decay
 
 def _green_sample(i, setup, master_seed):
@@ -105,8 +111,8 @@ def _shell_index(grid: Grid, margin: int):
 def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
                            master_seed: int, workers: int = 1) -> MomentCurve:
     """Shell-averaged E[(cube mass)^p]^(1/p) of center-source Green columns."""
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
+    if p == 0:
+        raise ConfigurationError("p must be nonzero")
     grid = setup.grid()
     cells, shell, dists = _shell_index(grid, setup.margin)
     masses = _pool_map(_green_sample, n_samples, workers, setup, master_seed)
@@ -117,12 +123,8 @@ def green_decay_experiment(setup: ExperimentSetup, p: float, n_samples: int,
     sums = np.bincount(labels, weights=kept.ravel(), minlength=len(kept) * nb)
     S = sums.reshape(len(kept), nb) / np.bincount(shell, minlength=nb)
 
-    def stat(rows):
-        return np.mean(rows, axis=0) ** (1.0 / p)
-
-    values = stat(S)
-    ci = _bootstrap_ci(S, stat, seed=master_seed ^ 0x5EED)
-    return MomentCurve(distances=np.asarray(dists, dtype=float), values=values, ci=ci)
+    return _moment_curve(dists, S, lambda rows: np.mean(rows, axis=0) ** (1.0 / p),
+                         seed=master_seed ^ 0x5EED)
 
 
 def _median(a: np.ndarray) -> float:
@@ -220,14 +222,11 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
         raise ConfigurationError("covariance needs at least 2 samples")
     grid = setup.grid()
     center = grid.center_node
-    sep_nodes = []
-    for s in separations:
-        node = list(center)
-        node[0] = center[0] + int(s) * grid.m
-        zmax = (node[0] // grid.m)
-        if not (setup.margin <= zmax < grid.L - setup.margin):
-            raise ConfigurationError(f"separation {s} leaves the interior window")
-        sep_nodes.append(tuple(node))
+    # each shifted cell, counted from the first cell of the interior window
+    first, window = grid.center_cell[0] - setup.margin, (grid.L - 2 * setup.margin,)
+    shifts = [box_index(first + s, window, f"separation {s}: window cell")[0] - first
+              for s in separations]
+    sep_nodes = [(center[0] + k * grid.m,) + center[1:] for k in shifts]
     rows = _pool_map(_cov_sample, n_samples, workers,
                      setup, master_seed, observables, sep_nodes, center)
 
@@ -274,18 +273,10 @@ def _vert_sample(i, setup, master_seed, offsets):
 def vertical_derivative_decay(setup: ExperimentSetup, z_offsets, n_samples: int,
                               master_seed: int, workers: int = 1) -> MomentCurve:
     """E[|u(x) - u^z(x)|^2]^(1/2) against the resampled-site distance |z - x|."""
-    offsets = [int(o) for o in z_offsets]
     zc = setup.L // 2
-    for off in offsets:
-        if not (0 <= zc + off < setup.L):
-            raise ConfigurationError(f"z offset {off} puts the site outside the box")
+    offsets = [box_index(zc + off, (setup.L,), f"z offset {off}: site")[0] - zc
+               for off in z_offsets]
     rows = _pool_map(_vert_sample, n_samples, workers, setup, master_seed, offsets)
     sq = np.stack(list(rows.values()))     # (kept samples, n_offsets)
-
-    def stat(block):
-        return np.sqrt(np.mean(block, axis=0))
-
-    values = stat(sq)
-    ci = _bootstrap_ci(sq, stat, seed=master_seed ^ 0xD17)
-    return MomentCurve(distances=np.abs(np.asarray(offsets, dtype=float)),
-                       values=values, ci=ci)
+    return _moment_curve(np.abs(offsets), sq, lambda block: np.sqrt(np.mean(block, axis=0)),
+                         seed=master_seed ^ 0xD17)

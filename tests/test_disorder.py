@@ -10,7 +10,7 @@ from landscape_lab.cli import law_from_dict
 from landscape_lab.disorder import (BumpProfile, DisorderLaw, bernoulli, default_bump,
                                     discrete_atoms, assemble_potential, resample_site,
                                     sample_omega, uniform01)
-from landscape_lab.errors import ConfigurationError, LawValidationError
+from landscape_lab.errors import ConfigurationError, LawValidationError, box_index
 from landscape_lab.lattice import Grid
 
 
@@ -201,6 +201,30 @@ class TestResampleSite:
         omega = sample_omega(bernoulli(0.5), (8,), 3, 0)
         with pytest.raises(ConfigurationError):
             resample_site(omega, (8,), 0)
+
+    @pytest.mark.parametrize("z", [3.7, (3.7,), "3"])
+    def test_non_integral_site_rejected(self, z):
+        # each was truncated to site 3, which was then redrawn
+        omega = sample_omega(bernoulli(0.5), (8,), 3, 0)
+        with pytest.raises(ConfigurationError, match="site"):
+            resample_site(omega, z, 0)
+
+
+class TestBoxIndex:
+    @pytest.mark.parametrize("index, want", [
+        (3, (3,)), (np.int64(3), (3,)), (3.0, (3,)), ((np.int32(2), 7), (2, 7)),
+        (np.array([0, 7]), (0, 7)), ([7.0, 0], (7, 0))])
+    def test_python_ints_one_per_axis(self, index, want):
+        shape = (8,) * len(want)
+        got = box_index(index, shape, "site")
+        assert got == want and all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("index", [
+        (8, 0), (0, -1), (3,), (1, 2, 3), (2.5, 0), (np.nan, 0), (np.inf, 0),
+        (True, False), ("1", "2"), [[1, 2]], None, (10 ** 30, 0)])
+    def test_anything_else_names_what(self, index):
+        with pytest.raises(ConfigurationError, match="origin"):
+            box_index(index, (8, 8), "origin")
 
 
 class TestAssemblePotential:

@@ -4,6 +4,7 @@ import pytest
 from conftest import omega_from_values
 from landscape_lab.disorder import (bernoulli, default_bump, assemble_potential,
                                     sample_omega)
+from landscape_lab import green
 from landscape_lab.errors import ConfigurationError
 from landscape_lab.green import (agmon_inequality_check, all_cell_masses,
                                  delta_rhs, green_column,
@@ -63,6 +64,15 @@ class TestGreenColumn:
         _, H = disorder_spec(L=16)
         with pytest.raises(ConfigurationError):
             green_column(H, (16 * 20,))
+
+    @pytest.mark.parametrize("node", [(-1,), (999,), (40.5,), (40, 40)])
+    def test_delta_and_column_reject_a_non_index(self, node):
+        # (-1,) put the delta on the last node and (40.5,) on node 40
+        _, H = disorder_spec(L=4)     # 80 nodes
+        with pytest.raises(ConfigurationError, match="source node"):
+            delta_rhs(H.grid, node)
+        with pytest.raises(ConfigurationError, match="source node"):
+            green_column(H, node)
 
 
 class TestMassiveDomination:
@@ -158,6 +168,22 @@ class TestRankOneIdentity:
         grid = Grid(d=1, L=16, m=20)
         with pytest.raises(ConfigurationError):
             rank_one_identity_check(omega, (16,), grid, BUMP, 1.0, 1e-3, (40,))
+
+    @pytest.mark.parametrize("z, x, what", [
+        ((5,), (70, 90), "site"),           # forced a row of sites to 1, and passed
+        ((1, 2, 3), (70, 90), "site"),
+        ((4, 4), (70, 160), "node"),        # 160 nodes per side
+        ((4, 4), (-1, 90), "node"),
+        ((4, 4), (70.5, 90), "node"),
+    ], ids=["short-site", "long-site", "node-past-grid", "negative-node", "half-node"])
+    def test_2d_non_index_rejected_before_rasterizing(self, monkeypatch, z, x, what):
+        rasterized, assemble = [], green.assemble_potential
+        monkeypatch.setattr(green, "assemble_potential",
+                            lambda *args: rasterized.append(1) or assemble(*args))
+        omega = sample_omega(LAW, (8, 8), 9, 0)
+        with pytest.raises(ConfigurationError, match=what):
+            rank_one_identity_check(omega, z, Grid(d=2, L=8, m=20), BUMP, 1.0, 1e-3, x)
+        assert rasterized == []
 
 
 class TestAgmonInequality:

@@ -337,6 +337,11 @@ class TestChemicalDistance:
         with pytest.raises(ConfigurationError):
             chemical_distance(g, (5, 0))
 
+    def test_non_integral_origin_rejected(self):
+        g = random_graph(5, 2, 0.5, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="origin"):
+            chemical_distance(g, (2.5, 0))      # ran from (2, 0) before
+
 
 class TestWilsonInterval:
     @settings(max_examples=50)
@@ -373,6 +378,10 @@ class TestKestenTail:
             kesten_tail_experiment(bernoulli(0.5), 1, 65, 0.5, [-1, 1],
                                    0.5, 2, 0, k=3)
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            kesten_tail_experiment(bernoulli(0.5), 1, 65, 0.5, [1, 2], 0.5, 0, 0, k=3)
+
     def test_frequencies_reported_with_wilson_ci(self):
         rows = kesten_tail_experiment(uniform01(), 2, 129, 0.875, [2, 4],
                                       0.5, 10, 7, k=3)
@@ -406,12 +415,21 @@ class TestGapStatistic:
         with pytest.raises(ConfigurationError):
             gap_statistic_1d(omega, 0.5, 11)
 
+    def test_non_integral_site_rejected(self):
+        omega = omega_from_values(np.ones(11))
+        with pytest.raises(ConfigurationError, match="site"):
+            gap_statistic_1d(omega, 0.5, 5.5)     # TypeError from the slice before
+
 
 class TestAnchoring:
     def test_deterministic_gaps_trivially_linear(self):
         report = anchoring_experiment_1d(uniform01(), 101, 0.0, 200, 3)
         assert report.status == "PASS"
         assert all(m == pytest.approx(2.0) for m in report.moments)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            anchoring_experiment_1d(bernoulli(0.5), 101, 0.5, 0, 3)
 
     def test_small_sample_inconclusive(self):
         report = anchoring_experiment_1d(bernoulli(0.5), 101, 0.5, 10, 3)

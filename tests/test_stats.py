@@ -62,6 +62,11 @@ class TestSampleLoop:
         with pytest.raises(ExperimentError, match="3/40"):
             samples._pool_map(square_unless, 40, workers, {1, 2, 3})
 
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5, 3.0, "3"])
+    def test_no_integer_of_at_least_one_rejected(self, n_samples):
+        with pytest.raises(ConfigurationError, match="n_samples must be an integer >= 1"):
+            samples._pool_map(square_unless, n_samples, 1, set())
+
     def test_workers_capped_by_samples_and_cores(self, monkeypatch):
         started = []
 
@@ -278,6 +283,17 @@ class TestGreenDecayExperiment:
             if j < len(rs) and rs[j] == 2 * r:
                 assert vals[j] <= vals[i]
 
+    @pytest.mark.parametrize("experiment", [
+        lambda setup: green_decay_experiment(setup, 0, 4, 0),
+        lambda setup: lambda_scaling_curve(setup, [1.0], 0, 4, 0, r_min=1.0, r_max=5.0)],
+        ids=["green-decay", "lambda-scaling"])
+    def test_zero_p_rejected_before_any_sample(self, monkeypatch, experiment):
+        solved = []
+        monkeypatch.setattr(stats, "green_column", lambda *args, **kw: solved.append(1))
+        with pytest.raises(ConfigurationError, match="p must be nonzero"):
+            experiment(setup_1d(L=16, margin=2))
+        assert solved == []
+
     def test_configuration_error_is_raised_not_skipped(self):
         with pytest.raises(ConfigurationError, match="nonnegative"):
             green_decay_experiment(setup_1d(lam=-1.0), 1.0, 2, 0)
@@ -352,12 +368,31 @@ class TestCovariance:
         with pytest.raises(ConfigurationError):
             covariance_suite(setup_1d(L=32), ["u"], [14], 10, 0)
 
+    @pytest.mark.parametrize("separation", [1.5, -0.5])
+    def test_non_integral_separation_rejected(self, separation):
+        # 1.5 was reported as 1.5 but measured at separation 1
+        with pytest.raises(ConfigurationError, match=f"separation {separation}"):
+            covariance_suite(setup_1d(L=32), ["u"], [separation], 10, 0)
+
 
 class TestVerticalDerivative:
     def test_center_offset_dominates(self):
         setup = setup_1d(eta=1e-4)
         curve = vertical_derivative_decay(setup, [0, 3, 8], 25, 7)
         assert curve.values[0] == curve.values.max()
+
+    @pytest.mark.parametrize("offset", [1.5, -0.5])
+    def test_non_integral_offset_rejected_before_any_sample(self, monkeypatch, offset):
+        solved = []
+        monkeypatch.setattr(stats, "solve_landscape", lambda *args, **kw: solved.append(1))
+        with pytest.raises(ConfigurationError, match=f"z offset {offset}"):
+            vertical_derivative_decay(setup_1d(), [0, offset], 4, 7)
+        assert solved == []
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, n_samples):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            vertical_derivative_decay(setup_1d(), [1, 4], n_samples, 7)
 
     def test_decay_along_offsets(self):
         setup = setup_1d(L=48, eta=1e-5)

@@ -33,8 +33,10 @@ SEED, WORKERS = 101, (1, 2)
 # The smoke configs and the benchmark draw Bernoulli and uniform sites only, and
 # solve periodic in 1-d only.  The atom cases draw from a discrete_atoms table
 # listed out of value order, with a repeated atom, and take k (cluster-tail) and
-# gamma (anchor-1d) from the law's defaults.  The last case solves periodic in
-# 2-d: the stencil's wrap entries and the real FFT preconditioner on a plane.
+# gamma (anchor-1d) from the law's defaults.  The energy-check case solves
+# periodic in 2-d: the stencil's wrap entries and the real FFT preconditioner on
+# a plane.  The last case checks the rank-one identity in 2-d, so its site and
+# node pass the library's index rule on a plane.
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
 EXTRA_CASES = [
@@ -42,6 +44,9 @@ EXTRA_CASES = [
      {"d": 2, "L": 33, "law": ATOMS, "gamma": 0.5, "n_samples": 2}),
     ("anchor-1d-atoms", "anchor-1d", {"L": 32, "law": ATOMS, "n_samples": 5}),
     ("energy-check-2d", "energy-check",
+     {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
+      "eta": 1e-3, "n_samples": 2}),
+    ("rank-one-check-2d", "rank-one-check",
      {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
       "eta": 1e-3, "n_samples": 2}),
 ]
