@@ -613,9 +613,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
-    # The import-time heap lives until exit: frozen, it is skipped by every
-    # later collection, those of interpreter shutdown included, and pool
-    # workers forked from here inherit the frozen state.
+    # The import-time heap lives until exit: frozen, no later collection scans
+    # it, at interpreter shutdown or in the sample workers forked from here.
     gc.freeze()
     code = run(args.subcommand, args.config, output_dir=args.output,
                workers=args.workers, seed=args.seed)

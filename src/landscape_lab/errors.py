@@ -49,7 +49,10 @@ def box_index(index, shape, what: str) -> tuple:
     """index (a scalar is a 1-tuple) as a tuple of Python ints, one per axis of
     shape, each in [0, n); any other index, a non-integral one too (never
     truncated), raises ConfigurationError naming what."""
-    a = np.atleast_1d(index)
+    try:
+        a = np.atleast_1d(index)
+    except ValueError:   # ragged, e.g. ((1, 2), 3): not 1-d, so rejected below
+        a = np.empty((0, 0))
     if (a.ndim != 1 or a.size != len(shape) or a.dtype.kind not in "iuf"
             or not np.all((a == np.floor(a)) & (a >= 0) & (a < shape))):
         raise ConfigurationError(f"{what} {index} is not an index into shape {tuple(shape)}")

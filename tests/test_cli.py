@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landscape_lab import cli, green, stats
+from landscape_lab import cli, green, samples, stats
 from landscape_lab.cli import TABLES, _setup, law_from_dict, run, validate_config, write_csv
 from landscape_lab.errors import ConfigurationError, SolverNonConvergenceError
 from landscape_lab.green import agmon_inequality_check, green_column
@@ -684,6 +684,15 @@ class TestFailurePolicy:
         fail_calls(monkeypatch, module, name, {7, 12})
         cfg = write_cfg(tmp_path, "c.json", given)
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_worker_exits_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: 2)   # forks on any machine
+        monkeypatch.setattr(green, "green_column", lambda *args, **kwargs: os._exit(1))
+        cfg = write_cfg(tmp_path, "c.json", dict(TINY_1D, n_samples=4))
+        assert run("agmon-check", cfg, output_dir=tmp_path / "out", workers=2) == 3
+        err = capsys.readouterr().err
+        assert err == "solver failure: a sample worker ended without its results\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, given", [

@@ -221,7 +221,7 @@ class TestBoxIndex:
 
     @pytest.mark.parametrize("index", [
         (8, 0), (0, -1), (3,), (1, 2, 3), (2.5, 0), (np.nan, 0), (np.inf, 0),
-        (True, False), ("1", "2"), [[1, 2]], None, (10 ** 30, 0)])
+        (True, False), ("1", "2"), [[1, 2]], None, (10 ** 30, 0), ((1, 2), 3)])
     def test_anything_else_names_what(self, index):
         with pytest.raises(ConfigurationError, match="origin"):
             box_index(index, (8, 8), "origin")

@@ -1,9 +1,12 @@
-import concurrent.futures
+import contextlib
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 from landscape_lab.disorder import bernoulli, uniform01
 from landscape_lab import samples, stats
 from landscape_lab.errors import (ConfigurationError, ExperimentError, FitError,
-                                   GridMismatchError, LawValidationError,
+                                   GridMismatchError, LandscapeLabError,
+                                   LawValidationError,
                                    SingularOperatorError, SolverFailure,
                                    SolverNonConvergenceError)
 from landscape_lab.green import all_cell_masses, green_column
@@ -53,6 +57,58 @@ def raise_at_7(i, error):
     return i
 
 
+def raise_at_7_and_12(i):
+    if i in (7, 12):
+        raise ConfigurationError(f"sample {i}")
+    return i
+
+
+def own_pid(i):
+    return os.getpid()
+
+
+def exit_at_5(i):
+    if i == 5:
+        os._exit(1)
+    return i
+
+
+def unpicklable_at_5(i):
+    # the arrays before it fill the pipe, so part of a pickle may be written
+    return (lambda: i) if i == 5 else np.zeros(20_000)
+
+
+def exit_at_0(i):
+    # the other workers' results fill their pipes after the loop has given up
+    if i == 0:
+        os._exit(1)
+    return np.zeros(20_000)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to the parent, in order, with three cores, and
+    a SIGALRM that fails a test whose sample loop still runs after 60 s."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def hung(signum, frame):
+        raise TimeoutError("the sample loop hung")
+
+    monkeypatch.setattr(samples.os, "fork", recording_fork)
+    monkeypatch.setattr(samples.os, "cpu_count", lambda: 3)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestSampleLoop:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kept_results_keyed_by_sample_index(self, workers):
@@ -70,20 +126,11 @@ class TestSampleLoop:
     def test_workers_capped_by_samples_and_cores(self, monkeypatch):
         started = []
 
-        class SerialPool:   # records the pool size and starts no process
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def serial_forked(fn, n_samples, workers, args):   # records the worker count, forks none
+            started.append(workers)
+            return [samples._attempt(fn, i, args) for i in range(n_samples)]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(samples, "_forked", serial_forked)
         monkeypatch.setattr(samples.os, "cpu_count", lambda: 4)
         serial = samples._pool_map(square_unless, 40, 1, set())
         assert samples._pool_map(square_unless, 40, 100_000, set()) == serial
@@ -92,6 +139,13 @@ class TestSampleLoop:
         monkeypatch.setattr(samples.os, "cpu_count", lambda: None)   # unknown: serial
         assert samples._pool_map(square_unless, 40, 100_000, set()) == serial
         assert started == [4, 3]
+
+    def test_serial_where_fork_is_missing(self, monkeypatch):
+        monkeypatch.delattr(samples.os, "fork")
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(samples, "_forked", None)   # calling it fails
+        assert samples._pool_map(square_unless, 40, 4, set()) == {
+            i: i * i for i in range(40)}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_errors_are_raised(self, workers):
@@ -113,14 +167,65 @@ class TestSampleLoop:
             samples._pool_map(raise_at_7, 20, workers, error)
 
 
+class TestForkedLoop:
+    """Above one worker the samples run in forked children; `forks` records
+    their pids and fails a hung loop."""
+
+    def test_samples_run_in_children(self, forks):
+        pids = samples._pool_map(own_pid, 12, 2)
+        assert set(pids.values()) == set(forks) and len(forks) == 2
+        assert os.getpid() not in forks
+        assert [pids[i] for i in range(4)] == forks * 2   # child w runs w, w + 2, ...
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_sample_error_is_raised(self, forks, workers):
+        with pytest.raises(ConfigurationError, match="^sample 7$"):
+            samples._pool_map(raise_at_7_and_12, 20, workers)
+        assert len(forks) == (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("fn", [exit_at_5, unpicklable_at_5, exit_at_0])
+    def test_child_without_results_is_an_experiment_error(self, forks, fn):
+        with pytest.raises(ExperimentError, match="a sample worker ended without its results"):
+            samples._pool_map(fn, 12, 2)
+
+    def test_child_killed_while_writing_is_an_experiment_error(self, forks, monkeypatch):
+        def dump_part(obj, pipe):   # a child killed mid-write: its pickle is cut short
+            pipe.write(pickle.dumps(obj)[:-3])
+            pipe.flush()
+            os._exit(1)
+
+        monkeypatch.setattr(samples, "pickle", SimpleNamespace(
+            dump=dump_part, loads=pickle.loads, UnpicklingError=pickle.UnpicklingError))
+        with pytest.raises(ExperimentError, match="a sample worker ended without its results"):
+            samples._pool_map(square_unless, 12, 2, set())
+
+    @pytest.mark.parametrize("fn", [own_pid, raise_at_7_and_12, exit_at_5, unpicklable_at_5,
+                                    exit_at_0])
+    def test_every_child_is_reaped(self, forks, fn):
+        with contextlib.suppress(LandscapeLabError):
+            samples._pool_map(fn, 20, 3)
+        assert len(forks) == 3
+        for pid in forks:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
 # Run in a fresh interpreter: after the import and after each (subcommand,
 # config, workers) run in argv[1] it records the package modules, logging, the
-# process-pool modules and numpy.ma, if loaded so far.
+# process-pool modules and numpy.ma, if loaded so far, and then the pids forked.
+# It reports two cores, so a workers-2 run forks on any machine.
 POOL_PROBE = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 from landscape_lab import cli
 runs, tmp = json.loads(sys.argv[1]), Path(sys.argv[2])
+forks, fork = [], os.fork
+def recording_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork, os.cpu_count = recording_fork, lambda: 2
 def watched():
     return sorted(m for m in sys.modules
                   if m in ("concurrent.futures.process", "numpy.ma", "logging")
@@ -132,6 +237,7 @@ for name, cfg, workers in runs:
     out = tmp / f"{name}-w{workers}"
     assert cli.run(name, path, output_dir=out, workers=workers) in (0, 4, 5), name
     loaded[out.name] = watched()
+loaded["forks"] = forks
 print(json.dumps(loaded))
 """
 
@@ -149,11 +255,11 @@ def probe(runs, tmp_path) -> dict:
 
 
 class TestPoolImport:
-    """A run loads only its subcommand's modules: serial runs never load the
-    process pool, a run that skips no sample never loads logging, and no run
-    loads numpy.ma."""
+    """A run loads only its subcommand's modules: no run loads a process pool
+    or numpy.ma, forked runs included, and a run that skips no sample never
+    loads logging."""
 
-    def test_serial_runs_load_no_pool(self, tmp_path):
+    def test_no_run_loads_pool_or_logging(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
         green = {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0, "eta": 1e-3,
                  "p": 1.0, "n_samples": 4, "margin": 2, "r_min": 1.0, "r_max": 5.0}
@@ -164,18 +270,17 @@ class TestPoolImport:
         assert not (SOLVER | {"landscape_lab.percolation"}) & percolation["import"]
         assert not SOLVER & percolation["fpp-kesten-w1"]
         assert "landscape_lab.percolation" not in solver["green-decay-w2"]
-        pool = {"concurrent.futures.process", "multiprocessing"}
+        unwanted = {"concurrent.futures.process", "multiprocessing", "numpy.ma", "logging"}
         for loaded in (percolation["import"], percolation["fpp-kesten-w1"],
-                       solver["import"], solver["green-decay-w1"]):
-            assert not (pool | {"numpy.ma", "logging"}) & loaded
-        if (os.cpu_count() or 1) > 1:   # the pool ran, and the probe sees it
-            assert pool <= solver["green-decay-w2"]
-        assert "numpy.ma" not in solver["green-decay-w2"]
-        serial, pooled = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
+                       solver["import"], solver["green-decay-w1"],
+                       solver["green-decay-w2"]):
+            assert not unwanted & loaded
+        assert not percolation["forks"] and len(solver["forks"]) == 2
+        serial, forked = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
         names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
         assert "summary.txt" in names
         for name in names:
-            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+            assert (serial / name).read_bytes() == (forked / name).read_bytes(), name
 
 
 class TestFitExponentialDecay:
