@@ -2,6 +2,8 @@ import gc
 import json
 import hashlib
 import os
+import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -512,6 +514,31 @@ class TestEffectiveConfig:
         assert validate_config("cluster-tail", dict(tail, L=33))["diam_max"] == 10
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# A selftest run in a fresh interpreter: sys.argv holds the config and output_dir.
+SELFTEST = """
+import sys
+from landscape_lab import cli
+assert cli.run("selftest", *sys.argv[1:]) == 0
+"""
+# The same with no builtin SHA-256 module; prints whether the CLI took hashlib's.
+NO_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+""" + SELFTEST + """
+import hashlib
+print(cli.sha256 is hashlib.sha256)
+"""
+
+
+def fresh_run(script, src, *args) -> str:
+    """The last line script prints in a fresh interpreter with src on its path."""
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip().rsplit("\n", 1)[-1]
+
+
 class TestManifest:
     def test_manifest_checksums_match_files(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg())
@@ -562,6 +589,57 @@ class TestManifest:
         run("green-decay", cfg, output_dir=out, seed=99)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 99
+
+    def test_checksums_without_a_builtin_sha256(self, tmp_path):
+        """An interpreter with neither _sha2 nor _sha256 checksums with hashlib."""
+        out = tmp_path / "out"
+        printed = fresh_run(NO_BUILTIN_SHA256, SRC, write_cfg(tmp_path, "c.json", {}), out)
+        assert printed == "True"        # the CLI's sha256 is hashlib's
+        files_match_manifest(out)
+
+    def test_environment_block(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("selftest", write_cfg(tmp_path, "c.json", {}), output_dir=out) == 0
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        assert environment == {"python": platform.python_version(), "numpy": np.__version__,
+                               "cpu_count": os.cpu_count(),
+                               "git_commit": cli._git_commit(SRC.parent)}
+        # the package run from a tree that is no git checkout: no commit
+        tree = tmp_path / "tree"
+        shutil.copytree(SRC / "landscape_lab", tree / "src" / "landscape_lab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        out = tmp_path / "copy-out"
+        fresh_run(SELFTEST, tree / "src", tmp_path / "c.json", out)
+        assert json.loads((out / "manifest.json").read_text())["environment"] == dict(
+            environment, git_commit=None)
+
+    @pytest.mark.parametrize("files, commit", [
+        ({"HEAD": f"{'a' * 40}\n"}, "a" * 40),                                    # detached
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": f"{'b' * 40}\n"}, "b" * 40),
+        ({"HEAD": "ref: refs/heads/main\n",
+          "packed-refs": f"# pack-refs with: peeled\n{'c' * 40} refs/heads/mainline\n"
+                         f"{'d' * 40} refs/heads/main\n^{'e' * 40}\n"}, "d" * 40),
+        # a loose ref is newer than its packed copy
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": f"{'b' * 40}\n",
+          "packed-refs": f"{'d' * 40} refs/heads/main\n"}, "b" * 40),
+        ({"HEAD": "ref: refs/heads/unborn\n", "packed-refs": f"{'d' * 40} refs/heads/main\n"},
+         None),
+        ({"HEAD": "ref: refs/heads/unborn\n"}, None),
+        ({}, None),                                                     # an empty .git
+        (None, None),                                                   # no .git
+        ("gitdir: /elsewhere\n", None),                                  # a .git file
+    ], ids=["detached", "loose", "packed", "loose-over-packed", "unborn-packed", "unborn",
+            "empty", "no-git", "git-file"])
+    def test_git_commit_from_dot_git(self, tmp_path, files, commit):
+        git = tmp_path / ".git"
+        if isinstance(files, str):
+            git.write_text(files)
+        elif files is not None:
+            git.mkdir()
+            for name, text in files.items():
+                (git / name).parent.mkdir(parents=True, exist_ok=True)
+                (git / name).write_text(text)
+        assert cli._git_commit(tmp_path) == commit
 
 
 class TestDeterminism:

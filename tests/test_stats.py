@@ -228,7 +228,7 @@ def recording_fork():
 os.fork, os.cpu_count = recording_fork, lambda: 2
 def watched():
     return sorted(m for m in sys.modules
-                  if m in ("concurrent.futures.process", "numpy.ma", "logging")
+                  if m in ("concurrent.futures.process", "numpy.ma", "logging", "_hashlib")
                   or m.split(".")[0] in ("multiprocessing", "landscape_lab"))
 loaded = {"import": watched()}
 for name, cfg, workers in runs:
@@ -256,17 +256,26 @@ def probe(runs, tmp_path) -> dict:
 
 class TestPoolImport:
     """A run loads only its subcommand's modules: no run loads a process pool
-    or numpy.ma, forked runs included, and a run that skips no sample never
-    loads logging."""
+    or numpy.ma, forked runs included, a run that skips no sample never
+    loads logging, and a run that does not bootstrap never loads OpenSSL's
+    _hashlib."""
 
     def test_no_run_loads_pool_or_logging(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
-        green = {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0, "eta": 1e-3,
-                 "p": 1.0, "n_samples": 4, "margin": 2, "r_min": 1.0, "r_max": 5.0}
+        landscape = {"d": 1, "L": 16, "m": 20, "law": law, "lambda": 1.0, "eta": 1e-3}
+        green = {**landscape, "p": 1.0, "n_samples": 4, "margin": 2, "r_min": 1.0,
+                 "r_max": 5.0}
         kesten = {"d": 2, "L": 65, "law": law, "gamma": 0.5, "k": 3,
                   "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}
-        percolation = probe([("fpp-kesten", kesten, 1)], tmp_path)
-        solver = probe([("green-decay", green, 1), ("green-decay", green, 2)], tmp_path)
+        tail = {"d": 2, "L": 33, "law": law, "gamma": 0.5, "k": 1, "n_samples": 2}
+        percolation = probe([("fpp-kesten", kesten, 1), ("cluster-tail", tail, 1)], tmp_path)
+        # the runs before green-decay, whose bootstrap loads numpy.random and with
+        # it _hashlib, share its interpreter, so each record holds the ones before
+        solver = probe([("solve-landscape", landscape, 1), ("selftest", {}, 1),
+                        ("green-decay", green, 1), ("green-decay", green, 2)], tmp_path)
+        for loaded in (percolation["import"], percolation["cluster-tail-w1"],
+                       solver["import"], solver["selftest-w1"]):
+            assert "_hashlib" not in loaded
         assert not (SOLVER | {"landscape_lab.percolation"}) & percolation["import"]
         assert not SOLVER & percolation["fpp-kesten-w1"]
         assert "landscape_lab.percolation" not in solver["green-decay-w2"]
