@@ -104,22 +104,18 @@ class DisorderLaw:
         idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
         return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
-    def prob_lt(self, x: float) -> float:
-        """P[w < x]."""
-        if not self.values:
-            return float(np.clip(x, 0.0, 1.0))
-        return float(np.asarray(self.probs)[np.asarray(self.values) < x].sum())
-
     def prob_ge(self, x: float) -> float:
-        return 1.0 - self.prob_lt(x)
+        """P[w >= x]."""
+        if not self.values:
+            return float(np.clip(1.0 - x, 0.0, 1.0))
+        return float(np.asarray(self.probs)[np.asarray(self.values) >= x].sum())
 
     def upper_quantile(self) -> float:
         """Largest threshold g with P[w >= g] >= 1/4 (the default gamma)."""
         tail = 0.25
         if not self.values:
             return 1.0 - tail
-        v, p = np.asarray(self.values), np.asarray(self.probs)
-        return float(max(g for g in v if p[v >= g].sum() >= tail))
+        return float(max(g for g in self.values if self.prob_ge(g) >= tail))
 
 
 def bernoulli(q: float) -> DisorderLaw:

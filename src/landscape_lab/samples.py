@@ -6,6 +6,7 @@ are folded in sample-index order so worker counts never change the output.
 
 import os
 import pickle
+import sys
 from numbers import Integral
 
 from .errors import ConfigurationError, ExperimentError, SolverFailure
@@ -14,10 +15,8 @@ from .errors import ConfigurationError, ExperimentError, SolverFailure
 def _attempt(fn, i, args):
     try:
         return fn(i, *args)
-    except SolverFailure as exc:
-        import logging   # only a skipped sample logs; the logger keeps the experiments' name
-
-        logging.getLogger("landscape_lab.stats").warning("sample %d skipped: %s", i, exc)
+    except SolverFailure as exc:   # flushed: a forked child ends in os._exit
+        print(f"sample {i} skipped: {exc}", file=sys.stderr, flush=True)
         return None
 
 
@@ -27,8 +26,14 @@ def _forked(fn, n_samples: int, workers: int, args) -> list:
     children = []
     try:
         for w in range(workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError as exc:   # EAGAIN at the process limit, EMFILE at the file limit
+                for fd in fds:
+                    os.close(fd)
+                raise ExperimentError(f"could not start a sample worker: {exc}") from None
             if pid == 0:   # the child: it ends in os._exit, whatever is raised
                 try:
                     os.close(read)
@@ -62,7 +67,7 @@ def _pool_map(fn, n_samples: int, workers: int, *args) -> dict:
 
     Serial, or forked into min(workers, n_samples, cpu count) processes where
     os.fork exists; n_samples must be an integer >= 1 (ConfigurationError).  A
-    solver failure skips its sample with a logged warning, more than 5 %
+    solver failure skips its sample with a line on stderr, more than 5 %
     skipped raises ExperimentError, and any other error is raised.
     """
     if not isinstance(n_samples, Integral) or n_samples < 1:

@@ -127,6 +127,32 @@ class TestExitCodes:
                         green_cfg(law={"kind": "bernoulli", "q": 1.0}))
         assert run("green-decay", cfg, output_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("law, message", [
+        ({"kind": "bernoulli", "q": 0.5, "p": 0.5}, "unknown law field 'p'"),
+        ({"kind": "bernoulli"}, "missing required law field 'q'"),
+        ({"kind": "bernoulli", "q": "a"}, "law field 'q' must be finite float"),
+        ({"kind": "discrete_atoms", "values": [0.0, 1.0], "probs": [], "p": 1},
+         "unknown law field 'p'; law field 'probs' must be a non-empty list of finite float")],
+        ids=["unknown", "missing", "ill-typed", "unknown-and-ill-typed"])
+    def test_law_field_error_exits_2(self, tmp_path, capsys, law, message):
+        cfg = write_cfg(tmp_path, "c.json", green_cfg(law=law))
+        assert run("green-decay", cfg, output_dir=tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_indistinguishable_etas_exit_4(self, tmp_path, capsys):
+        # below the resolution of the 2 m^2 = 800 diagonal every eta solves to the
+        # same bits: both differences are 0, and 0 / 0 is no ratio in the corridor
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS["eta-convergence"],
+                                                 etas=[1e-20, 1e-21, 1e-22]))
+        out = tmp_path / "out"
+        assert run("eta-convergence", cfg, output_dir=out) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = files_match_manifest(out)
+        assert manifest["details"] == {"mean_ratio": None, "corridor": [5.0, 20.0]}
+        rows = (out / "eta_table.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0", "0"]
+
     def test_empty_fit_window_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg(r_min=9.0, r_max=10.0))
         out = tmp_path / "out"
@@ -732,7 +758,7 @@ COVARIANCE_20 = dict(TINY_1D, observable="u", separations=[0, 6], n_samples=20, 
 class TestFailurePolicy:
     """Serial runs solve sample i in call i: 1 failure in 20 is skipped, 2 exit 3."""
 
-    def test_covariance_skips_one_failed_sample(self, tmp_path, monkeypatch, caplog):
+    def test_covariance_skips_one_failed_sample(self, tmp_path, monkeypatch, capsys):
         setup = _setup(validate_config("covariance", COVARIANCE_20))
         center = setup.grid().center_node
         u = [stats.solve_landscape(setup.hamiltonian(0, i), tol=setup.tol).u.values[center]
@@ -740,7 +766,7 @@ class TestFailurePolicy:
         fail_calls(monkeypatch, stats, "solve_landscape", {7})
         cfg = write_cfg(tmp_path, "c.json", COVARIANCE_20)
         assert run("covariance", cfg, output_dir=tmp_path / "out") == 0
-        assert "sample 7 skipped: stalled" in caplog.text
+        assert "sample 7 skipped: stalled\n" in capsys.readouterr().err
         rows = (tmp_path / "out" / "covariance.csv").read_text().splitlines()
         assert float(rows[1].split(",")[1]) == pytest.approx(np.var(u, ddof=1), rel=1e-10)
 
@@ -773,16 +799,28 @@ class TestFailurePolicy:
         assert err == "solver failure: a sample worker ended without its results\n"
         assert not (tmp_path / "out").exists()
 
+    def test_failed_fork_exits_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(samples.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(samples.os, "fork", no_fork)
+        cfg = write_cfg(tmp_path, "c.json", SMOKE_CONFIGS["green-decay"])
+        assert run("green-decay", cfg, output_dir=tmp_path / "out", workers=2) == 3
+        assert capsys.readouterr().err == ("solver failure: could not start a sample worker: "
+                                           "[Errno 11] Resource temporarily unavailable\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subcommand, given", [
         ("energy-check", dict(TINY_1D, n_samples=2, tol=1e-300)),
         # V = 0, eta = 1e-6: the true residual of a delta stays above tol 1e-9
         ("green-decay", dict(SMOKE_CONFIGS["green-decay"], L=128, bc="periodic",
                              eta=1e-6, **{"lambda": 0.0}))])
-    def test_stalled_solves_exit_3(self, tmp_path, caplog, subcommand, given):
+    def test_stalled_solves_exit_3(self, tmp_path, capsys, subcommand, given):
         cfg = write_cfg(tmp_path, "c.json", given)
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 3
         assert not (tmp_path / "out").exists()
-        assert "sample 0 skipped: CG stopped above tol" in caplog.text
+        assert "sample 0 skipped: CG stopped above tol" in capsys.readouterr().err
 
 
 class TestWriteCsv:

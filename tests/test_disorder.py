@@ -48,10 +48,11 @@ class TestLawValidation:
         vals = law.from_uniform(u)
         assert set(np.unique(vals)) <= {0.0, 1.0}
 
-    def test_prob_lt_matches_atoms(self):
+    def test_prob_ge_matches_atoms(self):
         law = discrete_atoms([0.0, 0.3, 1.0], [0.2, 0.3, 0.5])
-        assert law.prob_lt(0.3) == pytest.approx(0.2)
         assert law.prob_ge(0.3) == pytest.approx(0.8)
+        assert law.prob_ge(np.nextafter(0.3, 1.0)) == 0.5     # past the atom at 0.3
+        assert [uniform01().prob_ge(x) for x in (-1.0, 0.25, 1.0, 2.0)] == [1.0, 0.75, 0.0, 0.0]
 
     def test_repeated_atom_is_a_point_mass(self):
         with pytest.raises(LawValidationError, match="point mass"):
@@ -60,7 +61,7 @@ class TestLawValidation:
     def test_zero_probability_atom_is_not_in_the_support(self):
         # the first 0 has no mass; the second carries the infimum of the support
         law = discrete_atoms([0.0, 0.0, 1.0], [0.0, 0.5, 0.5])
-        assert law.prob_lt(0.5) == 0.5
+        assert law.prob_ge(0.5) == 0.5
         assert law.from_uniform(np.array([0.0, 0.4999, 0.5, 0.9])).tolist() == [0, 0, 1, 1]
 
     @pytest.mark.parametrize("values, probs", [([], []), ([0.0, 1.0], [1.0]),

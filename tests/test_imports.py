@@ -1,7 +1,8 @@
 """Lints on the package source (no linter is assumed): every import, at
-module level or in a function body, is used in its scope, and every
-module-level function and class, and every class member, is reached from the
-package itself, the acceptance suite or the benchmark's traced spans."""
+module level or in a function body, is used in its scope, no module imports
+logging, and every module-level function and class, and every class member,
+is reached from the package itself, the acceptance suite or the benchmark's
+traced spans."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,26 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_module_level_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level package of every absolute import, in any scope."""
+    return {name.split(".")[0] for node in ast.walk(ast.parse(source))
+            for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom)
+                         and node.level == 0 else [])}
+
+
+def test_checker_finds_every_import():
+    source = ("import os.path as p\nfrom . import cli\nfrom .stats import fit\n"
+              "def f():\n    from logging import getLogger\n")
+    assert imported_modules(source) == {"os", "logging"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_logging(module):
+    """Skipped samples are printed on stderr, where every other report goes."""
+    assert "logging" not in imported_modules((PACKAGE / module).read_text())
 
 
 def referenced_names(source: str) -> set:

@@ -128,7 +128,7 @@ class TestChooseK:
     def test_defining_inequality_tight(self):
         law = bernoulli(0.5)
         k = choose_k(law, 0.5, d=1)
-        p_lt = law.prob_lt(0.5)
+        p_lt = 1.0 - law.prob_ge(0.5)
         assert p_lt ** edge_cube_site_count(k, 1) < 0.5
         if k > 1:
             assert p_lt ** edge_cube_site_count(k - 1, 1) >= 0.5

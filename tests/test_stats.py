@@ -199,6 +199,37 @@ class TestForkedLoop:
         with pytest.raises(ExperimentError, match="a sample worker ended without its results"):
             samples._pool_map(square_unless, 12, 2, set())
 
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_worker_that_cannot_start_is_an_experiment_error(self, forks, monkeypatch,
+                                                             failing):
+        """The second worker's pipe or fork fails: the first child is reaped, and
+        no pipe stays open."""
+        pipes, pipe, calls = [], os.pipe, []
+
+        def recording_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        def second_call_fails():
+            calls.append(failing)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(samples.os, "pipe", recording_pipe)
+        real = getattr(samples.os, failing)
+        monkeypatch.setattr(samples.os, failing, second_call_fails)
+        with pytest.raises(ExperimentError, match=r"^could not start a sample worker: "
+                                                  r"\[Errno 11\] Resource temporarily"):
+            samples._pool_map(own_pid, 12, 2)
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+        assert len(pipes) == {"pipe": 1, "fork": 2}[failing]
+        for fd in sum(pipes, ()):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     @pytest.mark.parametrize("fn", [own_pid, raise_at_7_and_12, exit_at_5, unpicklable_at_5,
                                     exit_at_0])
     def test_every_child_is_reaped(self, forks, fn):
@@ -255,10 +286,9 @@ def probe(runs, tmp_path) -> dict:
 
 
 class TestPoolImport:
-    """A run loads only its subcommand's modules: no run loads a process pool
-    or numpy.ma, forked runs included, a run that skips no sample never
-    loads logging, and a run that does not bootstrap never loads OpenSSL's
-    _hashlib."""
+    """A run loads only its subcommand's modules: no run loads a process pool,
+    numpy.ma or logging, forked runs included, and a run that does not
+    bootstrap never loads OpenSSL's _hashlib."""
 
     def test_no_run_loads_pool_or_logging(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
