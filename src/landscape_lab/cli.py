@@ -16,8 +16,7 @@ each runner imports from the others (lattice, green, landscape, stats,
 percolation) the functions it drives, so a percolation run loads no solver
 module and a solver run no ``percolation``.  The checksums use the
 interpreter's builtin SHA-256, not ``hashlib``, whose import maps OpenSSL's
-libcrypto into the process; only runs that bootstrap load it, through
-``numpy.random``.
+libcrypto into the process; no run loads it or ``numpy.random``.
 A runner fills ``tables`` (file name -> (header, rows)); once it returns,
 ``run`` alone writes output_dir: the tables, a one-line summary.txt, and a
 manifest.json (strict JSON: non-finite values are null) with the effective

@@ -71,21 +71,88 @@ class ExperimentSetup:
         return self.operator(self.omega(master_seed, sample_index))
 
 
-def _bootstrap_ci(per_sample: np.ndarray, statistic, seed: int) -> np.ndarray:
-    """Half-widths from N_BOOT bootstrap resamples over the sample axis (axis 0)."""
-    rng = np.random.default_rng(seed)
-    n = per_sample.shape[0]
-    reps = np.empty((N_BOOT,) + np.shape(statistic(per_sample)))
-    for b in range(N_BOOT):
-        idx = rng.integers(0, n, size=n)
-        reps[b] = statistic(per_sample[idx])
+# numpy's SeedSequence, PCG64 and bounded-integer draw, copied so that the
+# resamples need no numpy.random (whose import maps OpenSSL's libcrypto) and
+# keep their bytes whatever numpy's Generator streams become.
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_BATCH = 1024     # states per batch: the draws' memory stays flat in n
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant h steps by mult at each call."""
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """(state, increment) of PCG64(SeedSequence(seed)), before its first output."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(e) for e in (entropy + [0] * 4)[:4]]
+
+    def mix(dst, v):
+        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
+        pool[dst] = x ^ x >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for e in entropy[4:]:
+        for dst in range(4):
+            mix(dst, e)
+    words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    v = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+    inc = ((v[2] << 64 | v[3]) << 1 | 1) & _M128
+    return ((inc + (v[0] << 64 | v[1])) * _PCG64_MULT + inc) & _M128, inc
+
+
+def _pcg64_integers(seed: int, n: int, shape: tuple) -> np.ndarray:
+    """np.random.default_rng(seed).integers(0, n, shape), bit for bit, for n <= 2**32.
+
+    The draws run on, unbroken, from one call of integers to the next, so shape
+    (N_BOOT, n) holds the rows of N_BOOT calls with size n.
+    """
+    state, inc = _pcg64_seed(seed)
+    out = np.empty(shape, dtype=np.int64)
+    flat = out.reshape(-1)
+    threshold = ((1 << 32) - n) % n     # Lemire: reject u where (u * n) mod 2**32 is below
+    have = 0
+    while have < flat.size:
+        k = min((flat.size - have + 1) // 2, _PCG64_BATCH)
+        states = [state := (state * _PCG64_MULT + inc) & _M128 for _ in range(k)]
+        lo, hi = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in states),
+                               dtype="<u8").reshape(k, 2).T
+        x, rot = lo ^ hi, hi >> np.uint64(58)   # XSL-RR output of each state
+        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        # two 32-bit draws per output, low half first
+        m = np.stack([x & _M32, x >> np.uint64(32)], axis=1).ravel() * np.uint64(n)
+        m = m[(m & _M32) >= threshold] >> np.uint64(32)
+        take = min(m.size, flat.size - have)
+        flat[have:have + take] = m[:take]
+        have += take
+    return out
+
+
+def _bootstrap_ci(per_sample: np.ndarray, statistic, idx: np.ndarray) -> np.ndarray:
+    """Half-widths over the resamples per_sample[row] along axis 0, one per row of idx."""
+    reps = np.array([statistic(per_sample[row]) for row in idx])
     return 1.96 * np.nanstd(reps, axis=0, ddof=1)
 
 
 def _moment_curve(distances, rows: np.ndarray, statistic, seed: int) -> MomentCurve:
     """statistic of the per-sample rows (axis 0), with bootstrap half-widths."""
-    return MomentCurve(distances=np.asarray(distances, dtype=float),
-                       values=statistic(rows), ci=_bootstrap_ci(rows, statistic, seed))
+    return MomentCurve(distances=np.asarray(distances, dtype=float), values=statistic(rows),
+                       ci=_bootstrap_ci(rows, statistic,
+                                        _pcg64_integers(seed, len(rows), (N_BOOT, len(rows)))))
 
 
 # ----------------------------------------------------------------- green decay
@@ -242,11 +309,13 @@ def covariance_suite(setup: ExperimentSetup, observables, separations,
             out[si] = np.max(np.abs(covs)) if covs.size > 1 else covs.ravel()[0]
         return out
 
+    # every observable resamples the same kept samples, with the same indices
+    idx = _pcg64_integers(master_seed ^ 0xC0F, len(rows), (N_BOOT, len(rows)))
     result = {}
     for observable in observables:
         data = np.stack([r[observable] for r in rows.values()])  # (n, 1 + n_seps, n_comp)
         covs = stat(data)
-        ci = _bootstrap_ci(data, stat, seed=master_seed ^ 0xC0F)
+        ci = _bootstrap_ci(data, stat, idx)
         result[observable] = [
             CovariancePoint(separation=float(s), cov=float(c), ci=float(w),
                             observable=observable)

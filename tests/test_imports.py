@@ -1,6 +1,6 @@
 """Lints on the package source (no linter is assumed): every import, at
 module level or in a function body, is used in its scope, no module imports
-logging, and every module-level function and class, and every class member,
+logging, no module draws from random, secrets or numpy.random, and every module-level function and class, and every class member,
 is reached from the package itself, the acceptance suite or the benchmark's
 traced spans."""
 
@@ -77,6 +77,36 @@ def test_checker_finds_every_import():
 def test_no_module_imports_logging(module):
     """Skipped samples are printed on stderr, where every other report goes."""
     assert "logging" not in imported_modules((PACKAGE / module).read_text())
+
+
+def random_sources(source: str) -> set:
+    """Every import of random, secrets or numpy.random, in any scope, and every
+    np.random or numpy.random the code names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+    return {name for name in names if name.split(".")[0] in ("random", "secrets")
+            or name.split(".")[:2] in (["numpy", "random"], ["np", "random"])}
+
+
+def test_checker_finds_every_random_source():
+    source = ("import numpy as np\nfrom numpy import random\nimport secrets\n"
+              "def f():\n    from random import shuffle\n    return np.random.rand()\n"
+              "def g():\n    import numpy.random.bit_generator\n    return np.fft, sys\n")
+    assert random_sources(source) == {"numpy.random", "secrets", "random.shuffle",
+                                      "np.random", "numpy.random.bit_generator"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_draws_from_random_or_numpy_random(module):
+    """The bootstrap draws from stats' own PCG64: importing numpy.random maps
+    OpenSSL's libcrypto through secrets, and its streams may change with numpy."""
+    assert random_sources((PACKAGE / module).read_text()) == set()
 
 
 def referenced_names(source: str) -> set:

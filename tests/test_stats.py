@@ -243,7 +243,8 @@ class TestForkedLoop:
 
 # Run in a fresh interpreter: after the import and after each (subcommand,
 # config, workers) run in argv[1] it records the package modules, logging, the
-# process-pool modules and numpy.ma, if loaded so far, and then the pids forked.
+# process-pool modules, numpy.ma, numpy.random, secrets and _hashlib, if loaded
+# so far, and then the pids forked.
 # It reports two cores, so a workers-2 run forks on any machine.
 POOL_PROBE = """
 import json, os, sys
@@ -259,7 +260,8 @@ def recording_fork():
 os.fork, os.cpu_count = recording_fork, lambda: 2
 def watched():
     return sorted(m for m in sys.modules
-                  if m in ("concurrent.futures.process", "numpy.ma", "logging", "_hashlib")
+                  if m in ("concurrent.futures.process", "numpy.ma", "logging", "_hashlib",
+                           "numpy.random", "secrets")
                   or m.split(".")[0] in ("multiprocessing", "landscape_lab"))
 loaded = {"import": watched()}
 for name, cfg, workers in runs:
@@ -287,8 +289,8 @@ def probe(runs, tmp_path) -> dict:
 
 class TestPoolImport:
     """A run loads only its subcommand's modules: no run loads a process pool,
-    numpy.ma or logging, forked runs included, and a run that does not
-    bootstrap never loads OpenSSL's _hashlib."""
+    numpy.ma or logging, forked runs included, and no run, bootstrapping ones
+    included, loads numpy.random, secrets or OpenSSL's _hashlib."""
 
     def test_no_run_loads_pool_or_logging(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
@@ -299,20 +301,21 @@ class TestPoolImport:
                   "radii": [1, 2], "c_probe": 0.5, "n_samples": 2}
         tail = {"d": 2, "L": 33, "law": law, "gamma": 0.5, "k": 1, "n_samples": 2}
         percolation = probe([("fpp-kesten", kesten, 1), ("cluster-tail", tail, 1)], tmp_path)
-        # the runs before green-decay, whose bootstrap loads numpy.random and with
-        # it _hashlib, share its interpreter, so each record holds the ones before
+        vertical = {**landscape, "z_offsets": [1, 2, 3, 4], "n_samples": 2}
+        covariance = {**landscape, "observable": "u", "separations": [1, 2],
+                      "n_samples": 3, "margin": 2}
+        # the runs share one interpreter, so each record holds the ones before and
+        # the last record of a probe covers all of its runs
         solver = probe([("solve-landscape", landscape, 1), ("selftest", {}, 1),
-                        ("green-decay", green, 1), ("green-decay", green, 2)], tmp_path)
-        for loaded in (percolation["import"], percolation["cluster-tail-w1"],
-                       solver["import"], solver["selftest-w1"]):
-            assert "_hashlib" not in loaded
+                        ("green-decay", green, 1), ("green-decay", green, 2),
+                        ("vertical-derivative", vertical, 1),
+                        ("covariance", covariance, 1)], tmp_path)
         assert not (SOLVER | {"landscape_lab.percolation"}) & percolation["import"]
         assert not SOLVER & percolation["fpp-kesten-w1"]
         assert "landscape_lab.percolation" not in solver["green-decay-w2"]
-        unwanted = {"concurrent.futures.process", "multiprocessing", "numpy.ma", "logging"}
-        for loaded in (percolation["import"], percolation["fpp-kesten-w1"],
-                       solver["import"], solver["green-decay-w1"],
-                       solver["green-decay-w2"]):
+        unwanted = {"concurrent.futures.process", "multiprocessing", "numpy.ma", "logging",
+                    "_hashlib", "secrets", "numpy.random"}
+        for loaded in (percolation["cluster-tail-w1"], solver["covariance-w1"]):
             assert not unwanted & loaded
         assert not percolation["forks"] and len(solver["forks"]) == 2
         serial, forked = tmp_path / "green-decay-w1", tmp_path / "green-decay-w2"
@@ -320,6 +323,64 @@ class TestPoolImport:
         assert "summary.txt" in names
         for name in names:
             assert (serial / name).read_bytes() == (forked / name).read_bytes(), name
+
+
+def numpy_bootstrap_ci(per_sample, statistic, seed):
+    """The bootstrap as it was with numpy's Generator: N_BOOT integers calls."""
+    rng = np.random.default_rng(seed)
+    n = per_sample.shape[0]
+    reps = np.empty((stats.N_BOOT,) + np.shape(statistic(per_sample)))
+    for b in range(stats.N_BOOT):
+        reps[b] = statistic(per_sample[rng.integers(0, n, size=n)])
+    return 1.96 * np.nanstd(reps, axis=0, ddof=1)
+
+
+def numpy_integers(seed, n, calls, size):
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.integers(0, n, size=size) for _ in range(calls)])
+
+
+FIXED_SEEDS = [0, 1, 2 ** 32, 2 ** 64 - 1, 101 ^ 0x5EED, 701 ^ 0xC0F, 2 ** 200 + 5]
+RANDOM_SEEDS = [int(s) for s in np.random.default_rng(28).integers(0, 2 ** 63, size=300)]
+
+
+class TestResampleStream:
+    """stats._pcg64_integers against numpy's SeedSequence -> PCG64 -> integers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 2000])
+    def test_bootstrap_matrix_matches_numpy(self, n):
+        for seed in FIXED_SEEDS + (RANDOM_SEEDS if n <= 40 else []):
+            np.testing.assert_array_equal(stats._pcg64_integers(seed, n, (stats.N_BOOT, n)),
+                                          numpy_integers(seed, n, stats.N_BOOT, n))
+
+    @pytest.mark.parametrize("n", [2 ** 31 + 12345, 2 ** 32 - 1, 2 ** 32])
+    def test_rejection_heavy_bounds_match_numpy(self, n):
+        # at 2**31 + 12345 nearly half of all 32-bit draws are rejected
+        for seed in FIXED_SEEDS + RANDOM_SEEDS[:20]:
+            np.testing.assert_array_equal(stats._pcg64_integers(seed, n, (3, 101)),
+                                          numpy_integers(seed, n, 3, 101))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            stats._pcg64_integers(-1, 10, (2, 10))
+
+    @pytest.mark.parametrize("case", ["scalar", "vector", "nan_rows", "one_sample"])
+    def test_half_widths_match_numpy_bootstrap(self, case):
+        data = np.exp(np.random.default_rng(3).normal(size=(40, 6)))
+        statistic = lambda rows: np.mean(rows, axis=0)
+        if case == "scalar":
+            data, statistic = data[:, 0], np.mean
+        elif case == "nan_rows":
+            data[[4, 17]] = np.nan
+        elif case == "one_sample":
+            data = data[:1]
+        seed = 101 ^ 0x5EED
+        n = len(data)
+        ci = stats._bootstrap_ci(data, statistic,
+                                 stats._pcg64_integers(seed, n, (stats.N_BOOT, n)))
+        np.testing.assert_array_equal(ci, numpy_bootstrap_ci(data, statistic, seed))
+        if case == "one_sample":     # every resample is the one sample: 0 up to rounding
+            assert np.all(ci < 1e-12)
 
 
 class TestFitExponentialDecay:
@@ -503,6 +564,14 @@ class TestCovariance:
         assert len(calls) == 5
         single = covariance_suite(setup_1d(), ["grad_log_u"], [2, 6], 5, 9)["grad_log_u"]
         assert both["grad_log_u"] == single
+
+    def test_indices_drawn_once_per_suite(self, monkeypatch):
+        calls = []
+        draw = stats._pcg64_integers
+        monkeypatch.setattr(stats, "_pcg64_integers",
+                            lambda *args: calls.append(args) or draw(*args))
+        covariance_suite(setup_1d(), ["u", "inv_u", "grad_log_u"], [2, 6], 5, 9)
+        assert calls == [(9 ^ 0xC0F, 5, (stats.N_BOOT, 5))]
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ConfigurationError):
