@@ -5,9 +5,11 @@ smooth bump of radius 1/10 around each lattice site, so at most one bump
 contributes at any point.  Site values come from a counter-based hash so that
 a single site can be resampled without touching the rest of the field and so
 that parallel generation is order-independent.  The hash (SplitMix64 chained
-over master seed, sample index, stream and site) is evaluated in place, in
-cache-sized blocks written straight into the output array; how it is evaluated
-never changes its bits.
+over master seed, sample index, stream and site) is evaluated in place on an
+array of site indices, in cache-sized blocks, so it can run on any set of
+sites: sample_omega draws the whole box, an UndrawnOmega hashes only the sites
+it is asked for, and resample_site one site.  How the hash is evaluated never
+changes its bits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import numpy as np
 from .errors import ConfigurationError, LawValidationError, box_index
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 1 << 15   # sites per pass: fastest of 2^12..2^19 at 513², three 256 KB buffers
+# Sites hashed per pass, with one 256 KB work buffer.  The benchmark's largest
+# hashes are coarse graining's meshes (37 440 sites per axis at L = 513, k = 3),
+# whose samples take alike from 2^13 to 2^16 (0.73-0.85 ms, Xeon, 2 MB L2 per
+# core); a 513^2 field drawn whole is fastest at 2^15 (1.39-1.47 ms).
+_BLOCK = 1 << 15
 
 
 def _splitmix(z, tmp=None):
@@ -47,26 +53,29 @@ def _hash_words(*words: int) -> np.uint64:
     return acc
 
 
-def _site_uniforms(master_seed: int, sample_index: int, stream: int, first: int,
-                   n: int) -> np.ndarray:
+def _site_uniforms(master_seed: int, sample_index: int, stream: int,
+                   sites: np.ndarray) -> np.ndarray:
     """Uniform(0,1) draws keyed by (master_seed, sample_index, stream, site) for
-    the n sites first, first + 1, ...
+    the uint64 site indices sites (C-contiguous), which it overwrites: the draws
+    are returned in sites' memory, viewed as float64.
 
     The last word of the chain is the site, so the three scalar words fold into
-    one key once; the site words are then hashed block by block in place.
+    one key once; the sites are then hashed in place, block by block, with one
+    block-sized work buffer.
     """
     key = _hash_words(master_seed, sample_index, stream)
-    out = np.empty(n)
-    offsets = np.arange(min(n, _BLOCK), dtype=np.uint64)
-    z, tmp = np.empty_like(offsets), np.empty_like(offsets)
-    for start in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - start)
-        zb = np.add(offsets[:k], np.uint64(first + start), out=z[:k])
+    z = sites.reshape(-1)
+    work = np.empty(min(z.size, _BLOCK), dtype=np.uint64)
+    for start in range(0, z.size, _BLOCK):
+        zb = z[start:start + _BLOCK]
+        tmp = work[:zb.size]
         zb ^= key
-        _splitmix(zb, tmp[:k])
+        _splitmix(zb, tmp)
         zb >>= np.uint64(11)
-        np.multiply(zb, 2.0 ** -53, out=out[start:start + k])
-    return out
+        u = tmp.view(np.float64)
+        u[...] = zb                  # exact: below 2^53
+        np.multiply(u, 2.0 ** -53, out=zb.view(np.float64))
+    return sites.view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,13 @@ def default_bump() -> BumpProfile:
     return BumpProfile()
 
 
+def _checked_box(box) -> tuple:
+    box = tuple(int(b) for b in box)
+    if len(box) == 0 or any(b < 1 for b in box):
+        raise ConfigurationError(f"box must be nonempty, got {box}")
+    return box
+
+
 @dataclass(frozen=True)
 class OmegaField:
     """One realization of the iid site amplitudes on a lattice box."""
@@ -173,13 +189,38 @@ class OmegaField:
     def d(self) -> int:
         return len(self.box)
 
+    def at(self, mesh) -> np.ndarray:
+        """The site values on an open mesh (np.ix_) of in-box indices."""
+        return self.values[mesh]
+
+
+@dataclass(frozen=True)
+class UndrawnOmega:
+    """The field sample_omega(law, box, master_seed, sample_index) draws, before
+    it is drawn: it holds no site values, and at(mesh) hashes only the mesh's
+    sites, with the bits the drawn field holds there."""
+
+    box: tuple
+    law: DisorderLaw
+    master_seed: int
+    sample_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "box", _checked_box(self.box))
+
+    def at(self, mesh) -> np.ndarray:
+        """The site values on an open mesh (np.ix_) of in-box indices; a
+        repeated index is hashed again, to the same value."""
+        sites = np.ravel_multi_index(mesh, self.box).view(np.uint64)
+        return self.law.from_uniform(
+            _site_uniforms(self.master_seed, self.sample_index, 0, sites))
+
 
 def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> OmegaField:
     """Draw the whole field; deterministic and site-keyed in all inputs."""
-    box = tuple(int(b) for b in box)
-    if len(box) == 0 or any(b < 1 for b in box):
-        raise ConfigurationError(f"box must be nonempty, got {box}")
-    u = _site_uniforms(master_seed, sample_index, 0, 0, int(np.prod(box)))
+    box = _checked_box(box)
+    u = _site_uniforms(master_seed, sample_index, 0,
+                       np.arange(np.prod(box), dtype=np.uint64))
     values = law.from_uniform(u).reshape(box)
     return OmegaField(box=box, values=values, law=law,
                       master_seed=master_seed, sample_index=sample_index)
@@ -188,9 +229,9 @@ def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> 
 def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     """Fresh independent draw at site z; every other site untouched."""
     z = box_index(z, omega.box, "site")
-    site = int(np.ravel_multi_index(z, omega.box))
+    site = np.array([np.ravel_multi_index(z, omega.box)], dtype=np.uint64)
     # stream 0 is the original field; odd streams (mod 2^64) are reserved for resampling
-    u = _site_uniforms(omega.master_seed, omega.sample_index, 2 * resample_seed + 1, site, 1)
+    u = _site_uniforms(omega.master_seed, omega.sample_index, 2 * resample_seed + 1, site)
     values = omega.values.copy()
     values[z] = omega.law.from_uniform(u)[0]
     return replace(omega, values=values)

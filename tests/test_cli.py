@@ -668,6 +668,35 @@ class TestManifest:
         assert cli._git_commit(tmp_path) == commit
 
 
+class TestClusterTailSlope:
+    """The slope is closed-form least squares, checked against np.polyfit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        ns = np.arange(int(rng.integers(0, 4)), 11 + seed)
+        tail = np.sort(rng.uniform(size=ns.size))[::-1] * (rng.uniform(size=ns.size) > 0.2)
+        usable = tail > 0
+        want = np.polyfit(ns[usable], np.log(tail[usable]), 1)[0]
+        assert cli._log_tail_slope(ns, tail) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_fewer_than_three_points_give_nan(self):
+        ns = np.arange(5)
+        assert np.isnan(cli._log_tail_slope(ns, np.array([0.5, 0.25, 0.0, 0.0, 0.0])))
+
+    def test_run_reports_the_polyfit_slope(self, tmp_path):
+        cfg = {"d": 2, "L": 129, "k": 3, "law": {"kind": "uniform01"}, "gamma": 0.92,
+               "diam_min": 0, "diam_max": 10, "n_samples": 10}
+        out = tmp_path / "out"
+        assert run("cluster-tail", write_cfg(tmp_path, "c.json", cfg), output_dir=out) == 0
+        rows = np.loadtxt(out / "diameter_tail.csv", delimiter=",", skiprows=1)
+        usable = rows[:, 1] > 0
+        assert usable.sum() >= 3
+        want = np.polyfit(rows[usable, 0], np.log(rows[usable, 1]), 1)[0]
+        slope = json.loads((out / "manifest.json").read_text())["details"]["slope"]
+        assert slope == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestDeterminism:
     def test_rerun_byte_identical_csvs(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", green_cfg())

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import omega_from_values
 from landscape_lab.cli import law_from_dict
-from landscape_lab.disorder import (BumpProfile, DisorderLaw, bernoulli, default_bump,
-                                    discrete_atoms, assemble_potential, resample_site,
-                                    sample_omega, uniform01)
+from landscape_lab.disorder import (BumpProfile, DisorderLaw, UndrawnOmega, bernoulli,
+                                    default_bump, discrete_atoms, assemble_potential,
+                                    resample_site, sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError, box_index
 from landscape_lab.lattice import Grid
 
@@ -163,6 +163,45 @@ class TestHashStream:
     def test_resampled_bits_fixed(self, law):
         omega = resample_site(sample_omega(LAWS[law], (5, 5, 5), 101, 2), (1, 2, 3), 9)
         assert digest(omega) == GOLDEN_RESAMPLED[law]
+
+
+class TestUndrawnOmega:
+    """An undrawn field hashes only the sites it is asked for, to the bits
+    sample_omega draws there."""
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("box", [(40,), (13, 17), (6, 7, 5)], ids=["1d", "2d", "3d"])
+    def test_at_matches_the_drawn_field(self, law, box):
+        drawn = sample_omega(LAWS[law], box, 101, 3)
+        undrawn = UndrawnOmega(box, LAWS[law], 101, 3)
+        meshes = [
+            [np.arange(b) for b in box],                          # the whole box
+            # clipped windows: the box's first and last sites repeat
+            [np.clip(np.arange(-2, b + 2), 0, b - 1) for b in box],
+            [np.array([b - 1, 0, b // 2, b // 2, 0]) for b in box],
+        ]
+        for axes in meshes:
+            mesh = np.ix_(*axes)
+            got = undrawn.at(mesh)
+            assert got.shape == tuple(a.size for a in axes)
+            assert got.tobytes() == drawn.values[mesh].tobytes()
+            assert drawn.at(mesh).tobytes() == got.tobytes()
+
+    def test_at_spans_blocks(self):
+        # 40 000 sites hash in two blocks
+        box = (200, 200)
+        mesh = np.ix_(np.arange(200)[::-1], np.arange(200))
+        got = UndrawnOmega(box, uniform01(), 7, 1).at(mesh)
+        assert got.tobytes() == sample_omega(uniform01(), box, 7, 1).values[::-1].tobytes()
+
+    def test_at_rejects_sites_outside_the_box(self):
+        with pytest.raises(ValueError):
+            UndrawnOmega((8, 8), uniform01(), 0, 0).at(np.ix_([0, 8], [1]))
+
+    @pytest.mark.parametrize("box", [(), (0,), (4, 0)])
+    def test_empty_box_rejected(self, box):
+        with pytest.raises(ConfigurationError, match="nonempty"):
+            UndrawnOmega(box, uniform01(), 0, 0)
 
 
 class TestResampleSite:

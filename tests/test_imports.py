@@ -1,8 +1,9 @@
 """Lints on the package source (no linter is assumed): every import, at
 module level or in a function body, is used in its scope, no module imports
-logging, no module draws from random, secrets or numpy.random, and every module-level function and class, and every class member,
-is reached from the package itself, the acceptance suite or the benchmark's
-traced spans."""
+logging, no module draws from random, secrets or numpy.random, no module calls
+LAPACK through numpy but selftest's dense cross-check, and every module-level
+function and class, and every class member, is reached from the package
+itself, the acceptance suite or the benchmark's traced spans."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,52 @@ def test_no_module_draws_from_random_or_numpy_random(module):
     """The bootstrap draws from stats' own PCG64: importing numpy.random maps
     OpenSSL's libcrypto through secrets, and its streams may change with numpy."""
     assert random_sources((PACKAGE / module).read_text()) == set()
+
+
+def lapack_calls(source: str) -> set:
+    """(enclosing function, name) for every polyfit, lstsq and numpy.linalg the
+    code names or imports; the function is None at module level."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, FUNCTIONS):
+            function = node.name
+        names = []
+        if isinstance(node, ast.Attribute):
+            names.append(ast.unparse(node))
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        found.update((function, name) for name in names
+                     if name.split(".")[-1] in ("polyfit", "lstsq")
+                     or name.split(".")[:2] in (["numpy", "linalg"], ["np", "linalg"]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_finds_every_lapack_call():
+    source = ("import numpy as np\nfrom numpy.linalg import lstsq\n"
+              "def fit(x, y):\n    return np.polyfit(x, y, 1), lstsq\n"
+              "def solve(A, b):\n    import numpy.linalg\n    return np.linalg.solve(A, b)\n"
+              "def fine(x):\n    return np.dot(x, x), sp.linalg.norm(x)\n")
+    assert lapack_calls(source) == {(None, "numpy.linalg.lstsq"), ("fit", "np.polyfit"),
+                                    ("fit", "lstsq"), ("solve", "numpy.linalg"),
+                                    ("solve", "np.linalg"), ("solve", "np.linalg.solve")}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_calls_lapack(module):
+    """LAPACK's first call maps about 1.3 MB of OpenBLAS code into the process;
+    only selftest's dense cross-check solves with it."""
+    allowed = ({("_run_selftest", "np.linalg"), ("_run_selftest", "np.linalg.solve")}
+               if module == "cli.py" else set())
+    assert lapack_calls((PACKAGE / module).read_text()) == allowed
 
 
 def referenced_names(source: str) -> set:

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import omega_from_values
-from landscape_lab.disorder import bernoulli, sample_omega, uniform01
+from landscape_lab.cli import _cluster_sample
+from landscape_lab.disorder import (UndrawnOmega, bernoulli, discrete_atoms, sample_omega,
+                                    uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError
 from landscape_lab.percolation import (CoarseGraph, anchoring_experiment_1d,
                                        chemical_distance, choose_k,
                                        cluster_analysis, coarse_grain,
                                        edge_cube_site_count, gap_statistic_1d,
-                                       kesten_tail_experiment, wilson_interval)
+                                       kesten_tail_experiment, wilson_interval,
+                                       _kesten_sample)
 
 
 def make_graph(xi_arrays, k=1, gamma=0.5):
@@ -206,6 +211,21 @@ class TestCoarseGrain:
         b = coarse_grain(omega, 2, 0.5)
         assert all(np.array_equal(x, y) for x, y in zip(a.xi, b.xi))
 
+    # (d, L): per k, L = 2^k j + 1 (windows end on the box) and L one or two
+    # sites past or short of that (clipped windows on the far side)
+    @pytest.mark.parametrize("d, spans", [(1, (5, 8)), (2, (4, 5)), (3, (4,))])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_undrawn_field_gives_the_drawn_flags(self, d, spans, k):
+        law = discrete_atoms([1.0, 0.0, 0.5], [0.3, 0.4, 0.3])
+        for L in sorted({(j << k) + 1 + extra for j in spans for extra in (-2, -1, 0, 1)}):
+            drawn = sample_omega(law, (L,) * d, 11, L)
+            undrawn = UndrawnOmega((L,) * d, law, 11, L)
+            for gamma in (0.5, 1.0):
+                a, b = coarse_grain(drawn, k, gamma), coarse_grain(undrawn, k, gamma)
+                assert (a.nc, a.d) == (b.nc, b.d)
+                assert all(x.shape == y.shape and np.array_equal(x, y)
+                           for x, y in zip(a.xi, b.xi))
+
 
 class TestClusterAnalysis:
     def test_all_open_single_cluster(self):
@@ -387,6 +407,33 @@ class TestKestenTail:
                                       0.5, 10, 7, k=3)
         for r in rows:
             assert 0.0 <= r.ci_low <= r.frequency <= r.ci_high <= 1.0
+
+
+class TestSampleMemory:
+    """A percolation sample holds no L^d field: a 513^2 field alone is 2.0 MiB."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        fn(*args)               # loads every module the call imports
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_kesten_sample_at_L_513(self):
+        L, k, radii = 513, 3, [8, 16, 32]
+        nc = ((L - 1) >> k) + 1
+        origin = (nc // 2,) * 2
+        cheb = np.abs(np.indices((nc, nc)) - origin[0]).max(axis=0)
+        peak = self.traced_peak(_kesten_sample, 0, uniform01(), L, 0.875, k, 101,
+                                origin, cheb, radii, 0.25)
+        assert peak < 1 << 20
+
+    def test_cluster_sample_at_L_257(self):
+        cfg = {"d": 2, "L": 257, "k": 3, "gamma": 0.92, "master_seed": 101}
+        assert self.traced_peak(_cluster_sample, 0, uniform01(), cfg) < 1 << 19
 
 
 class TestGapStatistic:

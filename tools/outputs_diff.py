@@ -35,8 +35,9 @@ SEED, WORKERS = 101, (1, 2)
 # listed out of value order, with a repeated atom, and take k (cluster-tail) and
 # gamma (anchor-1d) from the law's defaults.  The energy-check case solves
 # periodic in 2-d: the stencil's wrap entries and the real FFT preconditioner on
-# a plane.  The last case checks the rank-one identity in 2-d, so its site and
-# node pass the library's index rule on a plane.
+# a plane.  The rank-one case checks the identity in 2-d, so its site and node
+# pass the library's index rule on a plane.  The last two coarse-grain on a 3-d
+# box and with a 7-site window (k = 4) that still leaves closed components.
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
 EXTRA_CASES = [
@@ -49,6 +50,12 @@ EXTRA_CASES = [
     ("rank-one-check-2d", "rank-one-check",
      {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
       "eta": 1e-3, "n_samples": 2}),
+    ("fpp-kesten-3d", "fpp-kesten",
+     {"d": 3, "L": 65, "law": {"kind": "uniform01"}, "gamma": 0.95, "radii": [1, 2, 4],
+      "c_probe": 0.5, "n_samples": 4}),
+    ("cluster-tail-k4", "cluster-tail",
+     {"d": 2, "L": 129, "k": 4, "law": {"kind": "uniform01"}, "gamma": 0.99,
+      "diam_min": 0, "diam_max": 4, "n_samples": 4}),
 ]
 
 
