@@ -203,12 +203,21 @@ def _tridiagonal_solver(diag: np.ndarray, c: float):
 def _preconditioner(H: HamiltonianSpec):
     """(r, out=None, scratch=None) -> M^-1 r, into out with scratch as work space
     where given.  1-d Dirichlet: M = H, by cyclic reduction.  Else M = -Lap_h +
-    eta + lambda*mean(V), diagonal in a real FFT basis (periodic, numpy.fft) or
-    in the Dirichlet stencil's own DST-I basis, so M = H exactly when V is
-    constant.  The DST-I is the symmetric orthogonal matrix S[i, j] =
-    sqrt(2/(n+1)) sin(pi (i+1) (j+1) / (n+1)), S S = I, applied by matmul on each
-    axis (fast diagonalization).  The factor, the eigenvalues and S are computed
-    once per call, for every CG step of one solve.
+    eta + lambda*mean(V), diagonal in a real FFT basis (periodic) or in the
+    Dirichlet stencil's own DST-I basis, so M = H exactly when V is constant.
+
+    Periodic: numpy.fft's rfftn, the scale, then irfftn's own steps (ifft on
+    every axis but the last, irfft on it), all in one complex buffer.  The
+    DST-I is the symmetric orthogonal matrix S[k, j] = sqrt(2/(n+1)) sin(pi
+    (k+1) (j+1) / (n+1)), S S = I, applied on each axis (fast diagonalization).
+    Row k of S is even (k even) or odd (k odd) under j -> n-1-j, so in 2-d an
+    axis is folded into the sums x[j] + x[n-1-j] (and the middle entry, n odd)
+    and the differences x[j] - x[n-1-j], j < n//2, which A = S[0::2, :ceil(n/2)]
+    and B = S[1::2, :n//2] take to the even-k and the odd-k coefficients: two
+    half-size matmuls instead of one n x n.  In 3-d the folds' passes over the
+    whole array cost more than they save, and S is applied by matmul.  The
+    factor, the eigenvalues and the matrices are computed once per call, for
+    every CG step of one solve.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         return _tridiagonal_solver(H.diagonal, float(H.grid.m ** 2))
@@ -217,6 +226,8 @@ def _preconditioner(H: HamiltonianSpec):
     # pi k / (2n + 2) for k = 1..n DST-I
     theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
     eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
+    if d == 2 and not periodic:   # the folded transform's order: even k, then odd k
+        eig = np.concatenate((eig[0::2], eig[1::2]))
     axes = [eig] * d
     if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
         axes[-1] = eig[:n // 2 + 1]
@@ -235,11 +246,43 @@ def _preconditioner(H: HamiltonianSpec):
             y[start:start + len(t)] *= np.divide(1.0, t, out=t)
         return y
     if periodic:
-        dims = tuple(range(d))
-        return lambda r, out=None, scratch=None: np.fft.irfftn(
-            rescale(np.fft.rfftn(r)), s=r.shape, axes=dims, out=out)
-    # S takes 2(n+1) distinct values, one per residue of i j mod 2(n+1), the period
+        spectrum = np.empty(tuple(e.size for e in axes), dtype=complex)
+
+        def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
+            rescale(np.fft.rfftn(r, out=spectrum))
+            for ax in range(d - 1):
+                np.fft.ifft(spectrum, axis=ax, out=spectrum)
+            return np.fft.irfft(spectrum, n, axis=-1, out=out)
+        return precondition
+    # S takes 2(n+1) distinct values, one per residue of k j mod 2(n+1), the period
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
+    if d == 2:
+        h, g = n // 2, (n + 1) // 2
+        j = np.arange(1, g + 1)
+        A = sines[np.outer(2 * j - 1, j) % (2 * n + 2)]       # S[0::2, :g]
+        B = sines[np.outer(2 * j[:h], j[:h]) % (2 * n + 2)]   # S[1::2, :h]
+
+        def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
+            # each step folds the first axis into scratch, transforms it and
+            # moves it to the back in out; the scale; then the steps' transposes
+            out, scratch = (np.empty_like(r) if a is None else a for a in (out, scratch))
+            y = r
+            for _ in range(2):
+                np.add(y[:h], y[::-1][:h], out=scratch[:h])
+                scratch[h:g] = y[h:g]
+                np.subtract(y[:h], y[::-1][:h], out=scratch[g:])
+                np.matmul(scratch[:g].T, A.T, out=out[:, :g])
+                np.matmul(scratch[g:].T, B.T, out=out[:, g:])
+                y = out
+            rescale(out)
+            for _ in range(2):
+                np.matmul(A.T, out[:, :g].T, out=scratch[:g])
+                np.matmul(B.T, out[:, g:].T, out=scratch[g:])
+                np.add(scratch[:h], scratch[g:], out=out[:h])
+                out[h:g] = scratch[h:g]
+                np.subtract(scratch[:h], scratch[g:], out=out[::-1][:h])
+            return out
+        return precondition
     k = np.arange(1, n + 1)
     S = sines[np.outer(k, k) % (2 * n + 2)]
 

@@ -101,22 +101,42 @@ def roll_stencil(H, v):
     return H.diagonal * v - nsum
 
 
+def dst_matrix(n):
+    """The DST-I matrix S[k, j] = sqrt(2/(n+1)) sin(pi (k+1) (j+1) / (n+1))."""
+    sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
+    k = np.arange(1, n + 1)
+    return sines[np.outer(k, k) % (2 * n + 2)]
+
+
 def full_scale_preconditioner(H, r):
     """M^-1 r with the scale 1 / (shift + sum of eigenvalues) held as one full
     array, as the spectral preconditioners were first written: a reference
-    for the bits of the slab-by-slab scale."""
+    for the bits of the slab-by-slab scale.  The transforms take the same
+    steps as the preconditioner's, the 2-d Dirichlet one folded."""
     n, d, periodic = H.grid.n_per_side, H.grid.d, H.grid.bc == "periodic"
     theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
     eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
+    if d == 2 and not periodic:
+        eig = np.concatenate((eig[0::2], eig[1::2]))
     axes = [eig] * d
     if periodic:
         axes[-1] = eig[:n // 2 + 1]
     scale = 1.0 / (H.eta + H.lam * float(H.potential.values.mean()) + sum(np.ix_(*axes)))
     if periodic:
         return np.fft.irfftn(scale * np.fft.rfftn(r), s=r.shape, axes=tuple(range(d)))
-    sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
-    k = np.arange(1, n + 1)
-    S = sines[np.outer(k, k) % (2 * n + 2)]
+    S = dst_matrix(n)
+    if d == 2:   # sums and differences of mirrored rows, then half-size matmuls
+        h, g = n // 2, (n + 1) // 2
+        A, B = np.ascontiguousarray(S[0::2, :g]), np.ascontiguousarray(S[1::2, :h])
+        y = r
+        for _ in range(2):
+            f = np.concatenate((y[:h] + y[::-1][:h], y[h:g], y[:h] - y[::-1][:h]))
+            y = np.concatenate((f[:g].T @ A.T, f[g:].T @ B.T), axis=1)
+        y = y * scale
+        for _ in range(2):
+            u = np.concatenate((A.T @ y[:, :g].T, B.T @ y[:, g:].T))
+            y = np.concatenate((u[:h] + u[g:], u[h:g], (u[:h] - u[g:])[::-1]))
+        return y
     y = r
     for step in range(2 * d):
         if step == d:
@@ -344,6 +364,19 @@ class TestSpectralPreconditioner:
             rel = TestBandedPreconditioner.rel_error(x, dense_solve_oracle(H, rhs))
             assert rel <= 1e-10
 
+    @pytest.mark.parametrize("L, m", [(8, 11), (5, 21), (12, 20)])
+    def test_folded_dst_matches_the_dense_transform(self, L, m):
+        # n = 88, 105 (a middle row) and 240 (the influence-2d grid)
+        H = random_spec(d=2, L=L, m=m, seed=12)
+        n = H.grid.n_per_side
+        eig = 4.0 * m ** 2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n + 2)) ** 2
+        scale = 1.0 / (H.eta + H.lam * H.potential.values.mean() + np.add.outer(eig, eig))
+        S = dst_matrix(n)
+        r = np.random.default_rng(13).standard_normal((n, n))
+        dense = S @ (scale * (S @ r @ S)) @ S
+        z = lattice._preconditioner(H)(r)
+        assert np.abs(z - dense).max() <= 1e-13 * np.abs(dense).max()
+
     def test_influence_grid_apply_count(self, monkeypatch):
         # the influence-2d benchmark grid; a diagonal preconditioner needs about 835
         grid = Grid(d=2, L=12, m=20)
@@ -365,12 +398,15 @@ class TestLeanSolve:
     broadcast view."""
 
     @pytest.mark.parametrize("d, L, bc, rhs_kind, bound", [
-        (2, 16, "dirichlet", "delta", 6.5), (3, 4, "dirichlet", "delta", 5.5),
-        (2, 16, "dirichlet", "ones", 6.5), (3, 4, "dirichlet", "ones", 5.5),
-        (2, 16, "periodic", "ones", 7.5)])
+        (2, 16, "dirichlet", "delta", 6.0), (3, 4, "dirichlet", "delta", 5.5),
+        (2, 16, "dirichlet", "ones", 6.0), (3, 4, "dirichlet", "ones", 5.5),
+        (2, 16, "periodic", "ones", 6.75), (3, 4, "periodic", "ones", 6.5)])
     def test_peak_node_arrays(self, d, L, bc, rhs_kind, bound):
-        # traced peaks 6.32, 5.15, 6.32, 5.15 and 7.25; with a full-size scale, a
-        # dense rhs of ones and np.roll copies they were 7.24, 6.14, 8.24, 7.14 and 9.67
+        # traced peaks 5.82, 5.15, 5.82, 5.15, 6.47 and 6.16.  With the n x n
+        # DST-I matrix in 2-d and FFT temporaries on periodic grids they were
+        # 6.32, 5.15, 6.32, 5.15, 7.25 and 8.09; with a full-size scale, a dense
+        # rhs of ones and np.roll copies as well, the first five were 7.24,
+        # 6.14, 8.24, 7.14 and 9.67
         grid = Grid(d=d, L=L, m=20, bc=bc)
         omega = sample_omega(uniform01(), (L,) * d, 5, 1)
         H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
@@ -397,11 +433,12 @@ class TestLeanSolve:
     @pytest.mark.parametrize("slab", [lattice._SLAB, 300])
     @pytest.mark.parametrize("d, L, m, bc", [
         (1, 32, 20, "periodic"), (2, 8, 11, "periodic"), (3, 4, 7, "periodic"),
-        (2, 8, 11, "dirichlet"), (3, 4, 7, "dirichlet")])
+        (2, 8, 11, "dirichlet"), (2, 5, 21, "dirichlet"), (3, 4, 7, "dirichlet")])
     def test_slab_scale_gives_the_full_scale_bits(self, d, L, m, bc, slab, monkeypatch):
         # a part slab at the end: 3-d, 28 first-axis rows in slabs of 19 (periodic)
-        # and 10 at the default; at 300 nodes 321 rows in slabs of 300 (1-d) and
-        # 88 in slabs of 6 (2-d periodic) and 3 (2-d Dirichlet)
+        # and 10 at the default, 105 rows of the odd 2-d grid in slabs of 78; at
+        # 300 nodes 321 rows in slabs of 300 (1-d), 88 in slabs of 6 (2-d
+        # periodic) and 3 (2-d Dirichlet), and 105 in slabs of 2
         monkeypatch.setattr(lattice, "_SLAB", slab)
         H = random_spec(d=d, L=L, m=m, bc=bc, seed=8)
         r = np.random.default_rng(9).standard_normal(H.grid.shape)
@@ -409,8 +446,8 @@ class TestLeanSolve:
         assert z.tobytes() == full_scale_preconditioner(H, r).tobytes()
 
     @pytest.mark.parametrize("d, L, m, bc", [
-        (1, 8, 20, "dirichlet"), (2, 8, 11, "dirichlet"), (3, 4, 5, "dirichlet"),
-        (2, 8, 11, "periodic")])
+        (1, 8, 20, "dirichlet"), (2, 8, 11, "dirichlet"), (2, 5, 21, "dirichlet"),
+        (3, 4, 5, "dirichlet"), (2, 8, 11, "periodic")])
     def test_buffers_give_the_same_bits(self, d, L, m, bc):
         H = random_spec(d=d, L=L, m=m, bc=bc, seed=3)
         v = np.random.default_rng(4).standard_normal(H.grid.shape)

@@ -36,8 +36,10 @@ SEED, WORKERS = 101, (1, 2)
 # gamma (anchor-1d) from the law's defaults.  The energy-check case solves
 # periodic in 2-d: the stencil's wrap entries and the real FFT preconditioner on
 # a plane.  The rank-one case checks the identity in 2-d, so its site and node
-# pass the library's index rule on a plane.  The last two coarse-grain on a 3-d
-# box and with a 7-site window (k = 4) that still leaves closed components.
+# pass the library's index rule on a plane.  The next two coarse-grain on a 3-d
+# box and with a 7-site window (k = 4) that still leaves closed components.  The
+# last solves on a 2-d Dirichlet grid of odd side, 105 nodes, whose folded
+# sine transform carries a middle row.
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
 EXTRA_CASES = [
@@ -56,6 +58,8 @@ EXTRA_CASES = [
     ("cluster-tail-k4", "cluster-tail",
      {"d": 2, "L": 129, "k": 4, "law": {"kind": "uniform01"}, "gamma": 0.99,
       "diam_min": 0, "diam_max": 4, "n_samples": 4}),
+    ("solve-landscape-odd-2d", "solve-landscape",
+     {"d": 2, "L": 5, "m": 21, "law": {"kind": "uniform01"}, "lambda": 1.0, "eta": 1e-3}),
 ]
 
 
