@@ -210,14 +210,12 @@ def _preconditioner(H: HamiltonianSpec):
     every axis but the last, irfft on it), all in one complex buffer.  The
     DST-I is the symmetric orthogonal matrix S[k, j] = sqrt(2/(n+1)) sin(pi
     (k+1) (j+1) / (n+1)), S S = I, applied on each axis (fast diagonalization).
-    Row k of S is even (k even) or odd (k odd) under j -> n-1-j, so in 2-d an
-    axis is folded into the sums x[j] + x[n-1-j] (and the middle entry, n odd)
-    and the differences x[j] - x[n-1-j], j < n//2, which A = S[0::2, :ceil(n/2)]
-    and B = S[1::2, :n//2] take to the even-k and the odd-k coefficients: two
-    half-size matmuls instead of one n x n.  In 3-d the folds' passes over the
-    whole array cost more than they save, and S is applied by matmul.  The
-    factor, the eigenvalues and the matrices are computed once per call, for
-    every CG step of one solve.
+    Row k of S is even (k even) or odd (k odd) under j -> n-1-j, so an axis is
+    folded into the sums x[j] + x[n-1-j] (and the middle entry, n odd) and the
+    differences x[j] - x[n-1-j], j < n//2, which A = S[0::2, :ceil(n/2)] and
+    B = S[1::2, :n//2] take to the even-k and the odd-k coefficients: two
+    half-size matmuls instead of one n x n.  The factor, the eigenvalues and
+    the matrices are computed once per call, for every CG step of one solve.
     """
     if H.grid.d == 1 and H.grid.bc == "dirichlet":
         return _tridiagonal_solver(H.diagonal, float(H.grid.m ** 2))
@@ -226,7 +224,7 @@ def _preconditioner(H: HamiltonianSpec):
     # pi k / (2n + 2) for k = 1..n DST-I
     theta = np.pi * (np.arange(n) / n if periodic else np.arange(1, n + 1) / (2 * n + 2))
     eig = 4.0 * H.grid.m ** 2 * np.sin(theta) ** 2
-    if d == 2 and not periodic:   # the folded transform's order: even k, then odd k
+    if not periodic:   # the folded transform's order: A's rows, then B's
         eig = np.concatenate((eig[0::2], eig[1::2]))
     axes = [eig] * d
     if periodic:   # rfftn keeps n//2 + 1 frequencies on the last axis
@@ -235,72 +233,57 @@ def _preconditioner(H: HamiltonianSpec):
     row = tuple(e.size for e in axes[1:])
     slab = np.empty((max(1, _SLAB // np.prod(row, dtype=int)),) + row)
 
-    def rescale(y: np.ndarray) -> np.ndarray:
-        """y *= 1 / (shift + sum of eigenvalues), one slab of first-axis rows at a time."""
+    def rescale(*ys: np.ndarray) -> None:
+        """y *= 1 / (shift + sum of eigenvalues) for each real y, one slab of
+        first-axis rows at a time."""
         for start in range(0, len(first), len(slab)):
             t = slab[:len(first) - start]
             np.copyto(t, first[start:start + len(t)])
             for e in rest:      # shift + ((e_i + e_j) + e_k), the order of sum(np.ix_)
                 t += e
             t += shift
-            y[start:start + len(t)] *= np.divide(1.0, t, out=t)
-        return y
+            np.divide(1.0, t, out=t)
+            for y in ys:
+                y[start:start + len(t)] *= t
     if periodic:
         spectrum = np.empty(tuple(e.size for e in axes), dtype=complex)
 
         def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
-            rescale(np.fft.rfftn(r, out=spectrum))
+            np.fft.rfftn(r, out=spectrum)
+            rescale(spectrum.real, spectrum.imag)
             for ax in range(d - 1):
                 np.fft.ifft(spectrum, axis=ax, out=spectrum)
             return np.fft.irfft(spectrum, n, axis=-1, out=out)
         return precondition
     # S takes 2(n+1) distinct values, one per residue of k j mod 2(n+1), the period
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.arange(2 * n + 2))
-    if d == 2:
-        h, g = n // 2, (n + 1) // 2
-        j = np.arange(1, g + 1)
-        A = sines[np.outer(2 * j - 1, j) % (2 * n + 2)]       # S[0::2, :g]
-        B = sines[np.outer(2 * j[:h], j[:h]) % (2 * n + 2)]   # S[1::2, :h]
-
-        def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
-            # each step folds the first axis into scratch, transforms it and
-            # moves it to the back in out; the scale; then the steps' transposes
-            out, scratch = (np.empty_like(r) if a is None else a for a in (out, scratch))
-            y = r
-            for _ in range(2):
-                np.add(y[:h], y[::-1][:h], out=scratch[:h])
-                scratch[h:g] = y[h:g]
-                np.subtract(y[:h], y[::-1][:h], out=scratch[g:])
-                np.matmul(scratch[:g].T, A.T, out=out[:, :g])
-                np.matmul(scratch[g:].T, B.T, out=out[:, g:])
-                y = out
-            rescale(out)
-            for _ in range(2):
-                np.matmul(A.T, out[:, :g].T, out=scratch[:g])
-                np.matmul(B.T, out[:, g:].T, out=scratch[g:])
-                np.add(scratch[:h], scratch[g:], out=out[:h])
-                out[h:g] = scratch[h:g]
-                np.subtract(scratch[:h], scratch[g:], out=out[::-1][:h])
-            return out
-        return precondition
-    k = np.arange(1, n + 1)
-    S = sines[np.outer(k, k) % (2 * n + 2)]
+    h, g = n // 2, (n + 1) // 2
+    j = np.arange(1, g + 1)
+    A = sines[np.outer(2 * j - 1, j) % (2 * n + 2)]       # S[0::2, :g]
+    B = sines[np.outer(2 * j[:h], j[:h]) % (2 * n + 2)]   # S[1::2, :h]
 
     def precondition(r: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        # S on every axis, scale, S again: 2d matmuls into scratch and out in turn
-        y, bufs = r, [np.empty_like(r) if a is None else a for a in (scratch, out)]
-        for step in range(2 * d):
-            if step == d:
-                rescale(y)
-            o, axis = bufs[step % 2], step % d
-            if axis == 0:                # last axis
-                np.matmul(y, S, out=o)
-            elif axis < d - 1:           # middle axis (3-d)
-                np.matmul(S, y, out=o)
-            else:                        # first axis
-                np.matmul(S, y.reshape(n, -1), out=o.reshape(n, -1))
-            y = o
-        return y
+        # each step folds the first axis into scratch, transforms it and moves
+        # it to the back in out; the scale; then the steps' transposes, each
+        # moving the last axis to the front
+        out, scratch = (np.empty_like(r) if a is None else a for a in (out, scratch))
+        front, back, fold = out.reshape(n, -1), out.reshape(-1, n), scratch.reshape(n, -1)
+        y = r.reshape(n, -1)
+        for _ in range(d):
+            np.add(y[:h], y[::-1][:h], out=fold[:h])
+            fold[h:g] = y[h:g]
+            np.subtract(y[:h], y[::-1][:h], out=fold[g:])
+            np.matmul(fold[:g].T, A.T, out=back[:, :g])
+            np.matmul(fold[g:].T, B.T, out=back[:, g:])
+            y = front
+        rescale(out)
+        for _ in range(d):
+            np.matmul(A.T, back[:, :g].T, out=fold[:g])
+            np.matmul(B.T, back[:, g:].T, out=fold[g:])
+            np.add(fold[:h], fold[g:], out=front[:h])
+            front[h:g] = fold[h:g]
+            np.subtract(fold[:h], fold[g:], out=front[::-1][:h])
+        return out
     return precondition
 
 
@@ -320,7 +303,8 @@ def cg_solve(H: HamiltonianSpec, rhs: ScalarField, tol: float = DEFAULT_TOL,
     stencil's true residual accepts an answer; a failed check restarts CG from
     it.  A stall (p.Ap <= 0, or a true residual that does not fall between two
     checks) raises like max_iter does, reporting the true relres.  Fixed order
-    and reductions outside BLAS give the same bits at any BLAS thread count.
+    and reductions outside BLAS keep the inner products' bits at any BLAS
+    thread count; the sine transform's matmuls do not on every grid side.
     """
     if rhs.grid != H.grid:
         raise GridMismatchError("rhs and Hamiltonian grids differ")

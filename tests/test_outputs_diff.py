@@ -34,26 +34,29 @@ def test_cases_are_the_smoke_configs_and_the_benchmark_invocations():
         ("cluster-tail-atoms", "cluster-tail"), ("anchor-1d-atoms", "anchor-1d"),
         ("energy-check-2d", "energy-check"), ("rank-one-check-2d", "rank-one-check"),
         ("fpp-kesten-3d", "fpp-kesten"), ("cluster-tail-k4", "cluster-tail"),
-        ("solve-landscape-odd-2d", "solve-landscape")]
+        ("solve-landscape-odd-2d", "solve-landscape"), ("rank-one-check-3d", "rank-one-check")]
     assert [cfg for _, _, cfg in cases[:len(SMOKE_CONFIGS)]] == list(SMOKE_CONFIGS.values())
     # the third law kind, its atoms out of value order
-    assert [cfg["law"] for _, _, cfg in cases[-7:-5]] == [outputs_diff.ATOMS] * 2
+    assert [cfg["law"] for _, _, cfg in cases[-8:-6]] == [outputs_diff.ATOMS] * 2
     assert outputs_diff.ATOMS["kind"] == "discrete_atoms"
     assert outputs_diff.ATOMS["values"] != sorted(outputs_diff.ATOMS["values"])
     # a periodic solve and a rank-one check in 2-d, which no smoke config or
     # workload makes
     planar = ("energy-check", "rank-one-check")
-    assert [(sub, cfg["d"]) for _, sub, cfg in cases[-5:-3]] == [(sub, 2) for sub in planar]
-    assert not any(sub in planar and cfg["d"] > 1 for _, sub, cfg in cases[:-5])
+    assert [(sub, cfg["d"]) for _, sub, cfg in cases[-6:-4]] == [(sub, 2) for sub in planar]
+    assert not any(sub in planar and cfg["d"] > 1 for _, sub, cfg in cases[:-6])
     # coarse graining on a 3-d box, which no smoke config or workload makes,
     # and with k = 4's 7-site window
-    (_, _, kesten), (_, _, tail) = cases[-3:-1]
-    assert kesten["d"] == 3 and not any(cfg.get("d") == 3 for _, _, cfg in cases[:-3])
+    (_, _, kesten), (_, _, tail) = cases[-4:-2]
+    assert kesten["d"] == 3 and not any(cfg.get("d") == 3 for _, _, cfg in cases[:-4])
     assert tail["k"] == 4
     # a solve on a 2-d Dirichlet grid of odd side: the folded transform's middle row
-    (_, _, odd), = cases[-1:]
+    (_, _, odd), = cases[-2:-1]
     assert odd["d"] == 2 and odd.get("bc", "dirichlet") == "dirichlet"
     assert odd["L"] * odd["m"] % 2 == 1
+    # a 3-d Dirichlet solve, which no smoke config or workload makes
+    (_, sub, box), = cases[-1:]
+    assert (sub, box["d"], box.get("bc", "dirichlet")) == ("rank-one-check", 3, "dirichlet")
 
 
 def test_same_data_files_do_not_differ(tmp_path):

@@ -38,8 +38,10 @@ SEED, WORKERS = 101, (1, 2)
 # a plane.  The rank-one case checks the identity in 2-d, so its site and node
 # pass the library's index rule on a plane.  The next two coarse-grain on a 3-d
 # box and with a 7-site window (k = 4) that still leaves closed components.  The
-# last solves on a 2-d Dirichlet grid of odd side, 105 nodes, whose folded
-# sine transform carries a middle row.
+# next solves on a 2-d Dirichlet grid of odd side, 105 nodes, whose folded
+# sine transform carries a middle row.  The last checks the identity on a 3-d
+# Dirichlet box, the only case that runs a 3-d solve, with a site and node
+# offset that fit its L = 4.
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
 EXTRA_CASES = [
@@ -60,6 +62,9 @@ EXTRA_CASES = [
       "diam_min": 0, "diam_max": 4, "n_samples": 4}),
     ("solve-landscape-odd-2d", "solve-landscape",
      {"d": 2, "L": 5, "m": 21, "law": {"kind": "uniform01"}, "lambda": 1.0, "eta": 1e-3}),
+    ("rank-one-check-3d", "rank-one-check",
+     {"d": 3, "L": 4, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
+      "eta": 1e-3, "z_offset": 1, "x_offset": -1, "n_samples": 1}),
 ]
 
 
