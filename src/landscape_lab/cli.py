@@ -47,8 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_TOL, MAX_NODES, __version__
-from .disorder import (DisorderLaw, UndrawnOmega, bernoulli, default_bump,
-                       discrete_atoms, uniform01)
+from .disorder import DisorderLaw, UndrawnOmega, bernoulli, discrete_atoms, uniform01
 from .errors import (ConfigurationError, ExperimentError, FitError, LawValidationError,
                      SolverFailure)
 from .samples import _pool_map
@@ -335,8 +334,8 @@ def _run_vertical_derivative(cfg, tables):
 def _eta_sample(i, setup, cfg):
     from .landscape import eta_convergence_study
 
-    return eta_convergence_study(setup.omega(cfg["master_seed"], i), default_bump(),
-                                 setup.grid(), setup.lam, cfg["etas"])
+    return eta_convergence_study(setup.omega(cfg["master_seed"], i), setup.grid(),
+                                 setup.lam, cfg["etas"])
 
 
 def _run_eta_convergence(cfg, tables):
@@ -372,13 +371,12 @@ def _run_energy_check(cfg, tables):
 
 
 def _agmon_sample(i, setup, cfg):
-    """(mu, report) for mu = 0 and 0.1 sqrt(lambda): h = mu * min(|x|_oo, L/4),
-    and chi vanishes at |x|_oo <= 1 and at |x|_oo >= L/2 - 1."""
+    """(mu, report) for mu = 0 and 0.1 sqrt(lambda)."""
     from .green import agmon_inequality_check, green_column
 
     H = setup.hamiltonian(cfg["master_seed"], i)
     G = green_column(H, H.grid.center_node, tol=setup.tol)
-    return [(mu, agmon_inequality_check(G, mu, setup.L / 4.0, 1.0, setup.L / 2.0 - 1.0))
+    return [(mu, agmon_inequality_check(G, mu))
             for mu in (0.0, 0.1 * float(np.sqrt(setup.lam)))]
 
 
@@ -397,7 +395,7 @@ def _rank_one_sample(i, setup, cfg):
     z = tuple(c + cfg["z_offset"] for c in grid.center_cell)
     x = tuple(c + cfg["x_offset"] * grid.m for c in grid.center_node)
     return rank_one_identity_check(setup.omega(cfg["master_seed"], i), z, grid,
-                                   default_bump(), setup.lam, setup.eta, x)
+                                   setup.lam, setup.eta, x)
 
 
 def _run_rank_one(cfg, tables):

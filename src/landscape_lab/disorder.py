@@ -145,24 +145,17 @@ def discrete_atoms(values, probs) -> DisorderLaw:
     return DisorderLaw(values=tuple(v[order].tolist()), probs=tuple(p[order].tolist()))
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Radially symmetric smooth bump, support strictly inside radius 1/10:
-    the canonical mollifier, normalized to 1 at the origin."""
-
-    radius = 0.1   # a class constant, not a field
-
-    def evaluate(self, r: np.ndarray) -> np.ndarray:
-        s = np.asarray(r, dtype=float) / self.radius
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        return out
+BUMP_RADIUS = 0.1   # the bump's support lies strictly inside this radius
 
 
-def default_bump() -> BumpProfile:
-    return BumpProfile()
+def bump(r) -> np.ndarray:
+    """The canonical mollifier, normalized to 1 at the origin, on radius BUMP_RADIUS."""
+    s = np.asarray(r, dtype=float) / BUMP_RADIUS
+    out = np.zeros_like(s)
+    inside = s < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    return out
 
 
 def _checked_box(box) -> tuple:
@@ -237,7 +230,7 @@ def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     return replace(omega, values=values)
 
 
-def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarField":
+def assemble_potential(omega: OmegaField, grid) -> "ScalarField":
     """Rasterize V(x) = w_{j(x)} phi(x - j(x)) on the grid nodes.
 
     The bump radius is < 1/2, so only the nearest lattice site can contribute
@@ -250,16 +243,16 @@ def assemble_potential(omega: OmegaField, bump: BumpProfile, grid) -> "ScalarFie
         raise ConfigurationError(
             f"grid ({grid.d}d, L={grid.L}) does not cover omega box {omega.box}")
     # need >= 4 nodes across the bump diameter
-    if grid.m * 2.0 * bump.radius < 4.0 - 1e-12:
+    if grid.m * 2.0 * BUMP_RADIUS < 4.0 - 1e-12:
         raise ConfigurationError(
-            f"mesh m={grid.m} too coarse to resolve a bump of radius {bump.radius}")
+            f"mesh m={grid.m} too coarse to resolve a bump of radius {BUMP_RADIUS}")
     coords = grid.axis_coords  # shape (n,)
     nearest = np.clip(np.rint(coords).astype(int), 0, grid.L - 1)
     offset = coords - nearest
-    near = np.flatnonzero(np.abs(offset) < bump.radius)
+    near = np.flatnonzero(np.abs(offset) < BUMP_RADIUS)
     # squared distance to the nearest site, summed axis by axis over an open mesh
     dist2 = sum(o ** 2 for o in np.ix_(*[offset[near]] * grid.d))
     amp = omega.values[np.ix_(*[nearest[near]] * grid.d)]
     v = np.zeros(grid.shape)
-    v[np.ix_(*[near] * grid.d)] = amp * bump.evaluate(np.sqrt(dist2))
+    v[np.ix_(*[near] * grid.d)] = amp * bump(np.sqrt(dist2))
     return ScalarField(grid=grid, values=v)

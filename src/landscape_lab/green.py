@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import DEFAULT_TOL
-from .disorder import BumpProfile, OmegaField, assemble_potential
+from .disorder import OmegaField, assemble_potential
 from .errors import ConfigurationError, box_index
 from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
                       forward_gradient_sq)
@@ -83,8 +83,8 @@ def all_cell_masses(G: GreenColumn) -> np.ndarray:
     return cell_reduce(G.field.values, grid, np.add) * grid.h ** grid.d
 
 
-def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
-                            lam: float, eta: float, x) -> RankOneReport:
+def rank_one_identity_check(omega: OmegaField, z, grid: Grid, lam: float, eta: float,
+                            x) -> RankOneReport:
     """Exact single-site perturbation identity of the discrete resolvent.
 
     Compares (G - G^-)(x, o) with the quadrature of
@@ -94,10 +94,10 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
     z, x = box_index(z, omega.box, "site"), box_index(x, grid.shape, "node")
     origin, tol = grid.center_node, 1e-12
 
-    V = assemble_potential(omega, bump, grid)
+    V = assemble_potential(omega, grid)
     forced = omega.values.copy()
     forced[z] = 1.0
-    V_minus = assemble_potential(replace(omega, values=forced), bump, grid)
+    V_minus = assemble_potential(replace(omega, values=forced), grid)
 
     H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
     H_minus = HamiltonianSpec(grid=grid, potential=V_minus, lam=lam, eta=eta)
@@ -115,9 +115,9 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, bump: BumpProfile,
     return RankOneReport(lhs=lhs, rhs=rhs, relative_error=abs(lhs - rhs) / scale)
 
 
-def agmon_inequality_check(G: GreenColumn, weight_mu: float, weight_cap: float,
-                           cutoff_inner: float, cutoff_outer: float) -> AgmonReport:
-    """Weighted Caccioppoli inequality with weight exp(2h), h = mu*min(|x|_oo, cap).
+def agmon_inequality_check(G: GreenColumn, weight_mu: float) -> AgmonReport:
+    """Weighted Caccioppoli inequality with weight exp(2h), h = mu*min(|x|_oo, L/4),
+    and a cutoff chi that vanishes at |x|_oo <= 1 and at |x|_oo >= L/2 - 1.
 
     LHS = (1/2) Int chi^2 e^{2h} |grad G|^2
         + Int chi^2 e^{2h} G^2 (lam V - 4 |grad h|^2)
@@ -127,22 +127,19 @@ def agmon_inequality_check(G: GreenColumn, weight_mu: float, weight_cap: float,
     grid = G.spec.grid
     if G.source != grid.center_node:
         raise ConfigurationError("Agmon check expects the source at the grid center")
-    if weight_mu < 0.0 or weight_cap < 0.0:
-        raise ConfigurationError("weight rate and cap must be nonnegative")
-    if cutoff_inner < 0.5 - 1e-12:
-        raise ConfigurationError("cutoff_inner must be >= 1/2 so chi vanishes on Q")
-    half_width = grid.L / 2.0
-    if cutoff_outer > half_width - 1e-12:
-        raise ConfigurationError("cutoff_outer must stay inside the box")
-    if cutoff_outer < cutoff_inner:
-        raise ConfigurationError("cutoff_outer must be >= cutoff_inner")
+    if weight_mu < 0.0:
+        raise ConfigurationError("weight rate must be nonnegative")
+    if grid.L <= 4:
+        raise ConfigurationError(
+            f"Agmon check needs L >= 5: at L={grid.L} the cutoff vanishes everywhere")
+    cutoff_inner, cutoff_outer = 1.0, grid.L / 2.0 - 1.0
 
     coords = grid.axis_coords
     r_inf = np.zeros(grid.shape)
     for dist in np.ix_(*(np.abs(coords - coords[i]) for i in G.source)):
         r_inf = np.maximum(r_inf, dist)
 
-    h_fun = weight_mu * np.minimum(r_inf, weight_cap)
+    h_fun = weight_mu * np.minimum(r_inf, grid.L / 4.0)
     chi = np.clip(np.minimum(r_inf - cutoff_inner, cutoff_outer - r_inf), 0.0, 1.0)
     w = np.exp(2.0 * h_fun)
 

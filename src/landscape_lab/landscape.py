@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_TOL
-from .disorder import BumpProfile, OmegaField, assemble_potential
+from .disorder import OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
 from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cg_solve,
                       forward_gradient_sq)
@@ -47,18 +47,21 @@ def solve_landscape(H: HamiltonianSpec, tol: float = DEFAULT_TOL) -> LandscapeSo
     return LandscapeSolution(u=u, spec=H)
 
 
-def eta_convergence_study(omega: OmegaField, bump: BumpProfile, grid: Grid,
-                          lam: float, etas, tol: float = 1e-10):
+def eta_convergence_study(omega: OmegaField, grid: Grid, lam: float, etas,
+                          tol: float = 1e-10):
     """Sup-norm distance of u_eta to the smallest-eta reference, per eta.
 
     The smallest eta in the (strictly decreasing) list serves as the proxy for
     the eta -> 0 limit; differences should scale linearly in eta.  The sups
-    skip the nodes within 2 unit cells of the boundary.
+    skip the nodes within 2 unit cells of the boundary, so L must be 5 or more.
     """
     etas = [float(e) for e in etas]
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ConfigurationError("etas must be a strictly decreasing list of >= 3 entries")
-    V = assemble_potential(omega, bump, grid)
+    if grid.L < 5:
+        raise ConfigurationError(f"eta convergence needs L >= 5, got L={grid.L}: "
+                                 "its sups skip 2 cells at each wall")
+    V = assemble_potential(omega, grid)
 
     def solve(eta):
         H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)

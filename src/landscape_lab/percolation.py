@@ -265,12 +265,13 @@ class GapStatistic:
     censored: bool
 
 
-def gap_statistic_1d(omega: OmegaField, gamma: float, y_prime: int) -> GapStatistic:
-    """Distance between the nearest above-threshold sites strictly left/right of y'."""
+def gap_statistic_1d(omega: OmegaField, gamma: float) -> GapStatistic:
+    """Distance between the nearest above-threshold sites strictly left/right of
+    y' = L // 2."""
     if omega.d != 1:
         raise ConfigurationError("gap statistic is one-dimensional")
     L = omega.box[0]
-    (y_prime,) = box_index(y_prime, omega.box, "site")
+    y_prime = L // 2
     left = np.flatnonzero(omega.values[:y_prime] >= gamma)
     right = np.flatnonzero(omega.values[y_prime + 1:] >= gamma)
     if right.size == 0 or left.size == 0:
@@ -289,7 +290,7 @@ class AnchoringReport:
 
 
 def _gap_sample(i, law, L, gamma, master_seed):
-    return gap_statistic_1d(sample_omega(law, (L,), master_seed, i), gamma, L // 2)
+    return gap_statistic_1d(sample_omega(law, (L,), master_seed, i), gamma)
 
 
 def anchoring_experiment_1d(law: DisorderLaw, L: int, gamma: float,

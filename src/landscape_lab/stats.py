@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import DEFAULT_TOL
-from .disorder import (DisorderLaw, OmegaField, assemble_potential, default_bump,
-                       resample_site, sample_omega)
+from .disorder import (DisorderLaw, OmegaField, assemble_potential, resample_site,
+                       sample_omega)
 from .errors import ConfigurationError, FitError, box_index
 from .green import all_cell_masses, green_column
 from .landscape import derived_fields, solve_landscape
@@ -64,7 +64,7 @@ class ExperimentSetup:
         return sample_omega(self.law, (self.L,) * self.d, master_seed, sample_index)
 
     def operator(self, omega: OmegaField) -> HamiltonianSpec:
-        V = assemble_potential(omega, default_bump(), self.grid())
+        V = assemble_potential(omega, self.grid())
         return HamiltonianSpec(grid=self.grid(), potential=V, lam=self.lam, eta=self.eta)
 
     def hamiltonian(self, master_seed: int, sample_index: int) -> HamiltonianSpec:

@@ -12,7 +12,7 @@ import pytest
 
 from landscape_lab.cli import run as cli_run
 from landscape_lab.disorder import (assemble_potential, bernoulli,
-                                    default_bump, sample_omega, uniform01)
+                                    sample_omega, uniform01)
 from landscape_lab.green import (agmon_inequality_check, all_cell_masses,
                                  delta_rhs, green_column,
                                  massive_domination_check, massive_reference,
@@ -30,7 +30,6 @@ from landscape_lab.stats import (ExperimentSetup, covariance_suite,
                                  lambda_scaling_curve)
 
 LAW = bernoulli(0.5)
-BUMP = default_bump()
 
 
 def report(num, label, ok, detail=""):
@@ -95,7 +94,7 @@ def test_criterion_02_exact_structure_checks():
     fails = []
     for i in range(n_samples):
         omega = sample_omega(LAW, (grid.L,), 101, i)
-        V = assemble_potential(omega, BUMP, grid)
+        V = assemble_potential(omega, grid)
         H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
         sol = solve_landscape(H, tol=tol)
         G = green_column(H, a_src, tol=tol)
@@ -112,11 +111,11 @@ def test_criterion_02_exact_structure_checks():
             fails.append((i, "domination lambda"))
         if not massive_domination_check(G).passed:
             fails.append((i, "domination massive"))
-        rep = rank_one_identity_check(omega, rank_z, grid, BUMP, lam, eta, rank_x)
+        rep = rank_one_identity_check(omega, rank_z, grid, lam, eta, rank_x)
         if rep.relative_error > 1e-6:
             fails.append((i, "rank-one"))
         for mu in (0.0, 0.1 * np.sqrt(lam)):
-            ag = agmon_inequality_check(G, mu, 16.0, 1.0, 31.0)
+            ag = agmon_inequality_check(G, mu)
             if not ag.passed:
                 fails.append((i, f"agmon mu={mu}"))
         x = grid.center_node
@@ -147,7 +146,7 @@ def test_criterion_04_eta_convergence():
     ratios = []
     for i in range(20):
         omega = sample_omega(LAW, (32,), 401, i)
-        rows = eta_convergence_study(omega, BUMP, grid, 1.0,
+        rows = eta_convergence_study(omega, grid, 1.0,
                                      [1e-2, 1e-3, 1e-4], tol=1e-11)
         ratios.append(rows[0].sup_diff / rows[1].sup_diff)
     mean_ratio = float(np.mean(ratios))

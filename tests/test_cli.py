@@ -387,7 +387,7 @@ class TestEverySubcommand:
         rows = [line.split(",") for line in (out / "agmon.csv").read_text().splitlines()[1:]]
         assert len(rows) == 2
         for row, mu in zip(rows, (0.0, 0.2)):
-            rep = agmon_inequality_check(G, mu, 4.0, 1.0, 7.0)
+            rep = agmon_inequality_check(G, mu)
             assert [float(x) for x in row[1:4]] == [mu, rep.lhs, rep.rhs]
 
     @pytest.mark.parametrize("subcommand, window", [
@@ -419,6 +419,17 @@ class TestEverySubcommand:
     def test_nonpositive_p_exits_2(self, tmp_path, subcommand, p):
         cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], p=p))
         assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("subcommand", ["eta-convergence", "agmon-check"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_four_cell_box_exits_2_without_output(self, tmp_path, capsys, subcommand, d):
+        # eta-convergence's sups skip 2 cells at each wall, and agmon-check's
+        # cutoff, from 1 to L/2 - 1, vanishes everywhere at L = 4
+        cfg = write_cfg(tmp_path, "c.json", dict(SMOKE_CONFIGS[subcommand], d=d, L=4))
+        assert run(subcommand, cfg, output_dir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("offsets", [{"z_offset": 50}, {"z_offset": -9},
                                          {"x_offset": 8}, {"x_offset": -9}])

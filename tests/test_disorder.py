@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import omega_from_values
 from landscape_lab.cli import law_from_dict
-from landscape_lab.disorder import (BumpProfile, DisorderLaw, UndrawnOmega, bernoulli,
-                                    default_bump, discrete_atoms, assemble_potential,
-                                    resample_site, sample_omega, uniform01)
+from landscape_lab.disorder import (DisorderLaw, UndrawnOmega, assemble_potential,
+                                    bernoulli, bump, discrete_atoms, resample_site,
+                                    sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError, box_index
 from landscape_lab.lattice import Grid
 
@@ -271,7 +271,7 @@ class TestAssemblePotential:
     def test_all_zero_amplitudes_give_zero_potential(self):
         omega = omega_from_values(np.zeros(6))
         grid = Grid(d=1, L=6, m=20)
-        V = assemble_potential(omega, default_bump(), grid)
+        V = assemble_potential(omega, grid)
         assert np.all(V.values == 0.0)
 
     def test_single_bump_matches_profile(self):
@@ -279,32 +279,30 @@ class TestAssemblePotential:
         vals[4] = 1.0
         omega = omega_from_values(vals)
         grid = Grid(d=1, L=8, m=40)
-        bump = default_bump()
-        V = assemble_potential(omega, bump, grid)
+        V = assemble_potential(omega, grid)
         x = grid.axis_coords
         r = np.abs(x - 4.0)
         near = r < 0.5
-        assert np.allclose(V.values[near], bump.evaluate(r[near]))
+        assert np.allclose(V.values[near], bump(r[near]))
         assert np.all(V.values[r >= 0.1] == 0.0)
 
     def test_matches_per_node_oracle(self):
         omega = sample_omega(uniform01(), (6, 6), 11, 0)
         grid = Grid(d=2, L=6, m=20)
-        bump = default_bump()
-        V = assemble_potential(omega, bump, grid)
+        V = assemble_potential(omega, grid)
         rng = np.random.default_rng(0)
         for _ in range(50):
             node = tuple(rng.integers(0, grid.n_per_side, size=2))
             x = -0.5 + np.asarray(node) / grid.m
             j = np.clip(np.rint(x).astype(int), 0, 5)
-            expect = omega.values[tuple(j)] * bump.evaluate(
+            expect = omega.values[tuple(j)] * bump(
                 np.sqrt(((x - j) ** 2).sum()))
             assert V.values[node] == pytest.approx(float(expect), abs=1e-14)
 
     def test_bounds_and_support(self):
         omega = sample_omega(uniform01(), (10,), 2, 0)
         grid = Grid(d=1, L=10, m=20)
-        V = assemble_potential(omega, default_bump(), grid)
+        V = assemble_potential(omega, grid)
         assert V.values.min() >= 0.0
         assert V.values.max() <= omega.values.max()
         x = grid.axis_coords
@@ -316,41 +314,40 @@ class TestAssemblePotential:
         # the bump evaluated on every node, as before rasterization kept only
         # the nodes it reaches
         omega = sample_omega(uniform01(), (L,) * d, 7, 1)
-        grid, bump = Grid(d=d, L=L, m=m), default_bump()
+        grid = Grid(d=d, L=L, m=m)
         coords = grid.axis_coords
         nearest = np.clip(np.rint(coords).astype(int), 0, grid.L - 1)
         dist2 = sum(o ** 2 for o in np.ix_(*[coords - nearest] * d))
-        full = omega.values[np.ix_(*[nearest] * d)] * bump.evaluate(np.sqrt(dist2))
-        V = assemble_potential(omega, bump, grid).values
+        full = omega.values[np.ix_(*[nearest] * d)] * bump(np.sqrt(dist2))
+        V = assemble_potential(omega, grid).values
         assert V.tobytes() == full.tobytes()
 
     def test_coarse_mesh_rejected(self):
         omega = omega_from_values(np.zeros(6))
         grid = Grid(d=1, L=6, m=10)
         with pytest.raises(ConfigurationError, match="too coarse"):
-            assemble_potential(omega, default_bump(), grid)
+            assemble_potential(omega, grid)
 
     def test_grid_box_mismatch_rejected(self):
         omega = omega_from_values(np.zeros(6))
         grid = Grid(d=1, L=8, m=20)
         with pytest.raises(ConfigurationError):
-            assemble_potential(omega, default_bump(), grid)
+            assemble_potential(omega, grid)
 
 
-class TestBumpProfile:
+class TestBump:
     def test_normalization_and_support(self):
-        bump = BumpProfile()
-        assert bump.evaluate(np.asarray(0.0)) == pytest.approx(1.0)
-        assert bump.evaluate(np.asarray(0.1)) == 0.0
-        assert bump.evaluate(np.asarray(0.25)) == 0.0
+        assert bump(np.asarray(0.0)) == pytest.approx(1.0)
+        assert bump(np.asarray(0.1)) == 0.0
+        assert bump(np.asarray(0.25)) == 0.0
 
     @settings(max_examples=30)
     @given(st.floats(min_value=0.0, max_value=0.5))
     def test_values_in_unit_interval(self, r):
-        v = float(BumpProfile().evaluate(np.asarray(r)))
+        v = float(bump(np.asarray(r)))
         assert 0.0 <= v <= 1.0
 
     def test_radial_monotone_decrease(self):
         r = np.linspace(0.0, 0.0999, 200)
-        v = BumpProfile().evaluate(r)
+        v = bump(r)
         assert np.all(np.diff(v) <= 1e-12)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import omega_from_values
-from landscape_lab.disorder import (bernoulli, default_bump, assemble_potential,
-                                    sample_omega)
+from landscape_lab.disorder import bernoulli, assemble_potential, sample_omega
 from landscape_lab import green
 from landscape_lab.errors import ConfigurationError
 from landscape_lab.green import (agmon_inequality_check, all_cell_masses,
@@ -15,14 +14,13 @@ from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField,
                                    dense_solve_oracle)
 
 LAW = bernoulli(0.5)
-BUMP = default_bump()
 
 
 def disorder_spec(d=1, L=16, m=20, bc="dirichlet", lam=1.0, eta=1e-3, seed=0,
                   sample=0):
     grid = Grid(d=d, L=L, m=m, bc=bc)
     omega = sample_omega(LAW, (L,) * d, seed, sample)
-    V = assemble_potential(omega, BUMP, grid)
+    V = assemble_potential(omega, grid)
     return omega, HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
 
 
@@ -139,21 +137,21 @@ class TestRankOneIdentity:
         vals[10] = 1.0
         omega = omega_from_values(vals, law=LAW)
         grid = Grid(d=1, L=16, m=20)
-        rep = rank_one_identity_check(omega, (10,), grid, BUMP, 1.0, 1e-3,
+        rep = rank_one_identity_check(omega, (10,), grid, 1.0, 1e-3,
                                       (40,))
         assert abs(rep.lhs) < 1e-10 and abs(rep.rhs) < 1e-10
 
     def test_identity_exact_on_random_sample(self):
         omega = sample_omega(LAW, (32,), 8, 0)
         grid = Grid(d=1, L=32, m=20)
-        rep = rank_one_identity_check(omega, (20,), grid, BUMP, 1.0, 1e-3,
+        rep = rank_one_identity_check(omega, (20,), grid, 1.0, 1e-3,
                                       (100,))
         assert rep.relative_error <= 1e-6
 
     def test_identity_2d(self):
         omega = sample_omega(LAW, (4, 4), 9, 0)
         grid = Grid(d=2, L=4, m=20)
-        rep = rank_one_identity_check(omega, (1, 2), grid, BUMP, 1.0, 1e-2,
+        rep = rank_one_identity_check(omega, (1, 2), grid, 1.0, 1e-2,
                                       (30, 50))
         assert rep.relative_error <= 1e-6
 
@@ -161,13 +159,13 @@ class TestRankOneIdentity:
         omega = omega_from_values(np.zeros(16), law=LAW)
         grid = Grid(d=1, L=16, m=10)
         with pytest.raises(ConfigurationError, match="too coarse"):
-            rank_one_identity_check(omega, (8,), grid, BUMP, 1.0, 1e-3, (40,))
+            rank_one_identity_check(omega, (8,), grid, 1.0, 1e-3, (40,))
 
     def test_site_outside_box_rejected(self):
         omega = sample_omega(LAW, (16,), 7, 0)
         grid = Grid(d=1, L=16, m=20)
         with pytest.raises(ConfigurationError):
-            rank_one_identity_check(omega, (16,), grid, BUMP, 1.0, 1e-3, (40,))
+            rank_one_identity_check(omega, (16,), grid, 1.0, 1e-3, (40,))
 
     @pytest.mark.parametrize("z, x, what", [
         ((5,), (70, 90), "site"),           # forced a row of sites to 1, and passed
@@ -182,25 +180,26 @@ class TestRankOneIdentity:
                             lambda *args: rasterized.append(1) or assemble(*args))
         omega = sample_omega(LAW, (8, 8), 9, 0)
         with pytest.raises(ConfigurationError, match=what):
-            rank_one_identity_check(omega, z, Grid(d=2, L=8, m=20), BUMP, 1.0, 1e-3, x)
+            rank_one_identity_check(omega, z, Grid(d=2, L=8, m=20), 1.0, 1e-3, x)
         assert rasterized == []
 
 
 class TestAgmonInequality:
-    def test_zero_cutoff_passes_trivially(self):
-        _, H = disorder_spec(L=16, seed=10)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_vacuous_box_rejected(self, d):
+        # at L = 4 the cutoff runs from 1 to L/2 - 1 = 1, so chi = 0 and any
+        # Green column would pass with lhs = rhs = 0
+        _, H = disorder_spec(d=d, L=4, seed=10)
         G = green_column(H, H.grid.center_node, tol=1e-9)
-        rep = agmon_inequality_check(G, 0.5, 4.0, 3.0, 3.0)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(0.0, abs=1e-15)
-        assert rep.rhs == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ConfigurationError, match="L >= 5"):
+            agmon_inequality_check(G, 0.5)
 
     @pytest.mark.parametrize("mu", [0.0, 0.1])
     @pytest.mark.parametrize("sample", range(5))
     def test_random_samples_1d(self, mu, sample):
         _, H = disorder_spec(L=32, seed=11, sample=sample, eta=1e-4)
         G = green_column(H, H.grid.center_node, tol=1e-9)
-        rep = agmon_inequality_check(G, mu, 8.0, 1.0, 15.0)
+        rep = agmon_inequality_check(G, mu)
         assert rep.passed, f"lhs={rep.lhs} rhs={rep.rhs}"
 
     @pytest.mark.slow
@@ -209,7 +208,7 @@ class TestAgmonInequality:
         _, H = disorder_spec(d=2, L=16, seed=12, sample=sample, eta=1e-4)
         G = green_column(H, H.grid.center_node, tol=1e-9)
         for mu in (0.0, 0.1):
-            rep = agmon_inequality_check(G, mu, 4.0, 1.0, 7.0)
+            rep = agmon_inequality_check(G, mu)
             assert rep.passed, f"mu={mu} lhs={rep.lhs} rhs={rep.rhs}"
 
     @pytest.mark.slow
@@ -218,15 +217,11 @@ class TestAgmonInequality:
         _, H = disorder_spec(d=2, L=32, seed=13, sample=sample, eta=1e-4)
         G = green_column(H, H.grid.center_node, tol=1e-9)
         for mu in (0.0, 0.1):
-            rep = agmon_inequality_check(G, mu, 8.0, 1.0, 15.0)
+            rep = agmon_inequality_check(G, mu)
             assert rep.passed, f"mu={mu} lhs={rep.lhs} rhs={rep.rhs}"
 
     def test_geometry_guards(self):
         _, H = disorder_spec(L=16, seed=14)
         G = green_column(H, H.grid.center_node, tol=1e-8)
         with pytest.raises(ConfigurationError):
-            agmon_inequality_check(G, 0.1, 4.0, 0.2, 7.0)   # chi overlaps Q
-        with pytest.raises(ConfigurationError):
-            agmon_inequality_check(G, 0.1, 4.0, 1.0, 8.5)   # outside box
-        with pytest.raises(ConfigurationError):
-            agmon_inequality_check(G, -0.1, 4.0, 1.0, 7.0)  # negative rate
+            agmon_inequality_check(G, -0.1)     # negative rate

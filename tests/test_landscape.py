@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import omega_from_values
-from landscape_lab.disorder import (bernoulli, default_bump,
-                                    assemble_potential, sample_omega)
+from landscape_lab.disorder import bernoulli, assemble_potential, sample_omega
+from landscape_lab import landscape
 from landscape_lab.errors import ConfigurationError, PositivityError
 from landscape_lab.landscape import (derived_fields, energy_estimate_check,
                                      eta_convergence_study, solve_landscape)
@@ -13,14 +13,13 @@ from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField, cell_redu
                                    dense_solve_oracle)
 
 LAW = bernoulli(0.5)
-BUMP = default_bump()
 
 
 def disorder_spec(d=1, L=16, m=20, bc="dirichlet", lam=1.0, eta=1e-3,
                   seed=0, sample=0):
     grid = Grid(d=d, L=L, m=m, bc=bc)
     omega = sample_omega(LAW, (L,) * d, seed, sample)
-    V = assemble_potential(omega, BUMP, grid)
+    V = assemble_potential(omega, grid)
     return HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
 
 
@@ -94,7 +93,7 @@ class TestEtaConvergence:
         omega = omega_from_values(np.zeros(8), law=LAW)
         grid = Grid(d=1, L=8, m=20, bc="periodic")
         etas = [1e-1, 1e-2, 1e-3]
-        rows = eta_convergence_study(omega, BUMP, grid, 0.0, etas, tol=1e-12)
+        rows = eta_convergence_study(omega, grid, 0.0, etas, tol=1e-12)
         for row in rows:
             expect = 1.0 / row.eta - 1.0 / etas[-1]
             assert row.sup_diff == pytest.approx(abs(expect), rel=1e-6)
@@ -102,7 +101,7 @@ class TestEtaConvergence:
     def test_linear_in_eta_corridor(self):
         omega = sample_omega(LAW, (32,), 6, 0)
         grid = Grid(d=1, L=32, m=20)
-        rows = eta_convergence_study(omega, BUMP, grid, 1.0,
+        rows = eta_convergence_study(omega, grid, 1.0,
                                      [1e-2, 1e-3, 1e-4], tol=1e-11)
         ratio = rows[0].sup_diff / rows[1].sup_diff
         assert 5.0 <= ratio <= 20.0
@@ -113,19 +112,27 @@ class TestEtaConvergence:
         grid = Grid(d=2, L=16, m=20)
         tracemalloc.start()
         try:
-            eta_convergence_study(omega, BUMP, grid, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+            eta_convergence_study(omega, grid, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 12.5 * 8 * grid.n_nodes
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_box_under_five_cells_rejected_before_any_solve(self, monkeypatch, d):
+        # the sups skip 2 cells at each wall, which leaves no node at L = 4
+        monkeypatch.setattr(landscape, "cg_solve", None)
+        omega = sample_omega(LAW, (4,) * d, 0, 0)
+        with pytest.raises(ConfigurationError, match="L >= 5"):
+            eta_convergence_study(omega, Grid(d=d, L=4, m=20), 1.0, [1e-2, 1e-3, 1e-4])
+
     def test_too_few_etas_rejected(self):
         omega = sample_omega(LAW, (8,), 0, 0)
         grid = Grid(d=1, L=8, m=20)
         with pytest.raises(ConfigurationError):
-            eta_convergence_study(omega, BUMP, grid, 1.0, [1e-2])
+            eta_convergence_study(omega, grid, 1.0, [1e-2])
         with pytest.raises(ConfigurationError):
-            eta_convergence_study(omega, BUMP, grid, 1.0, [1e-3, 1e-2, 1e-4])
+            eta_convergence_study(omega, grid, 1.0, [1e-3, 1e-2, 1e-4])
 
 
 class TestEnergyEstimate:

@@ -14,7 +14,7 @@ from landscape_lab.errors import (ConfigurationError, GridMismatchError,
                                   SingularOperatorError,
                                   SolverNonConvergenceError)
 from landscape_lab import lattice
-from landscape_lab.disorder import (assemble_potential, default_bump, sample_omega,
+from landscape_lab.disorder import (assemble_potential, sample_omega,
                                     uniform01)
 from landscape_lab.green import delta_rhs
 from landscape_lab.lattice import (Grid, HamiltonianSpec, ScalarField,
@@ -381,7 +381,7 @@ class TestSpectralPreconditioner:
         grid = Grid(d=2, L=12, m=20)
         omega = sample_omega(uniform01(), (grid.L, grid.L), 101, 0)
         H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
-                            potential=assemble_potential(omega, default_bump(), grid))
+                            potential=assemble_potential(omega, grid))
         calls = []
         apply = lattice.apply_hamiltonian
         monkeypatch.setattr(lattice, "apply_hamiltonian",
@@ -409,7 +409,7 @@ class TestLeanSolve:
         grid = Grid(d=d, L=L, m=20, bc=bc)
         omega = sample_omega(uniform01(), (L,) * d, 5, 1)
         H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
-                            potential=assemble_potential(omega, default_bump(), grid))
+                            potential=assemble_potential(omega, grid))
         delta = delta_rhs(grid, grid.center_node) if rhs_kind == "delta" else None
         H.diagonal    # the operator's own array, built before tracing
         tracemalloc.start()
@@ -536,13 +536,13 @@ class TestScipyFreeRuntime:
 # loads: the digest of a 2-d Green column's bytes (25 600 nodes).
 BLAS_THREADS_PROBE = """
 import hashlib
-from landscape_lab.disorder import assemble_potential, default_bump, sample_omega, uniform01
+from landscape_lab.disorder import assemble_potential, sample_omega, uniform01
 from landscape_lab.green import delta_rhs
 from landscape_lab.lattice import Grid, HamiltonianSpec, cg_solve
 grid = Grid(d=2, L=8, m=20)
 omega = sample_omega(uniform01(), (grid.L, grid.L), 5, 1)
 H = HamiltonianSpec(grid=grid, lam=1.0, eta=1e-4,
-                    potential=assemble_potential(omega, default_bump(), grid))
+                    potential=assemble_potential(omega, grid))
 G = cg_solve(H, delta_rhs(grid, grid.center_node))
 print(hashlib.sha256(G.values.tobytes()).hexdigest())
 """

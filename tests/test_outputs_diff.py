@@ -33,18 +33,19 @@ def test_cases_are_the_smoke_configs_and_the_benchmark_invocations():
         ("percolation-2d-cluster-tail", "cluster-tail"),
         ("cluster-tail-atoms", "cluster-tail"), ("anchor-1d-atoms", "anchor-1d"),
         ("energy-check-2d", "energy-check"), ("rank-one-check-2d", "rank-one-check"),
+        ("agmon-check-2d", "agmon-check"), ("eta-convergence-2d", "eta-convergence"),
         ("fpp-kesten-3d", "fpp-kesten"), ("cluster-tail-k4", "cluster-tail"),
         ("solve-landscape-odd-2d", "solve-landscape"), ("rank-one-check-3d", "rank-one-check")]
     assert [cfg for _, _, cfg in cases[:len(SMOKE_CONFIGS)]] == list(SMOKE_CONFIGS.values())
     # the third law kind, its atoms out of value order
-    assert [cfg["law"] for _, _, cfg in cases[-8:-6]] == [outputs_diff.ATOMS] * 2
+    assert [cfg["law"] for _, _, cfg in cases[-10:-8]] == [outputs_diff.ATOMS] * 2
     assert outputs_diff.ATOMS["kind"] == "discrete_atoms"
     assert outputs_diff.ATOMS["values"] != sorted(outputs_diff.ATOMS["values"])
-    # a periodic solve and a rank-one check in 2-d, which no smoke config or
-    # workload makes
-    planar = ("energy-check", "rank-one-check")
-    assert [(sub, cfg["d"]) for _, sub, cfg in cases[-6:-4]] == [(sub, 2) for sub in planar]
-    assert not any(sub in planar and cfg["d"] > 1 for _, sub, cfg in cases[:-6])
+    # a periodic solve, a rank-one check, an Agmon check and an eta study in
+    # 2-d, which no smoke config or workload makes
+    planar = ("energy-check", "rank-one-check", "agmon-check", "eta-convergence")
+    assert [(sub, cfg["d"]) for _, sub, cfg in cases[-8:-4]] == [(sub, 2) for sub in planar]
+    assert not any(sub in planar and cfg["d"] > 1 for _, sub, cfg in cases[:-8])
     # coarse graining on a 3-d box, which no smoke config or workload makes,
     # and with k = 4's 7-site window
     (_, _, kesten), (_, _, tail) = cases[-4:-2]

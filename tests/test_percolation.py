@@ -439,33 +439,23 @@ class TestSampleMemory:
 class TestGapStatistic:
     def test_all_above_threshold_gap_two(self):
         omega = omega_from_values(np.ones(11))
-        assert gap_statistic_1d(omega, 0.5, 5).gap == 2
+        assert gap_statistic_1d(omega, 0.5).gap == 2
 
     def test_no_high_site_censored(self):
         omega = omega_from_values(np.zeros(11))
-        assert gap_statistic_1d(omega, 0.5, 5).censored
+        assert gap_statistic_1d(omega, 0.5).censored
 
     def test_geometric_law_mean(self):
         q = 0.5
         gaps = []
         for i in range(2000):
             omega = sample_omega(bernoulli(q), (101,), 61, i)
-            g = gap_statistic_1d(omega, 0.5, 50)
+            g = gap_statistic_1d(omega, 0.5)
             assert not g.censored
             gaps.append(g.gap)
         gaps = np.asarray(gaps, dtype=float)
         sem = gaps.std(ddof=1) / np.sqrt(gaps.size)
         assert abs(gaps.mean() - 2.0 / q) < 3 * sem
-
-    def test_site_guard(self):
-        omega = omega_from_values(np.ones(11))
-        with pytest.raises(ConfigurationError):
-            gap_statistic_1d(omega, 0.5, 11)
-
-    def test_non_integral_site_rejected(self):
-        omega = omega_from_values(np.ones(11))
-        with pytest.raises(ConfigurationError, match="site"):
-            gap_statistic_1d(omega, 0.5, 5.5)     # TypeError from the slice before
 
 
 class TestAnchoring:

@@ -36,9 +36,10 @@ SEED, WORKERS = 101, (1, 2)
 # gamma (anchor-1d) from the law's defaults.  The energy-check case solves
 # periodic in 2-d: the stencil's wrap entries and the real FFT preconditioner on
 # a plane.  The rank-one case checks the identity in 2-d, so its site and node
-# pass the library's index rule on a plane.  The next two coarse-grain on a 3-d
-# box and with a 7-site window (k = 4) that still leaves closed components.  The
-# next solves on a 2-d Dirichlet grid of odd side, 105 nodes, whose folded
+# pass the library's index rule on a plane; the Agmon and eta cases take their
+# weight, cutoff and sup window on a plane too.  The next two coarse-grain on a
+# 3-d box and with a 7-site window (k = 4) that still leaves closed components.
+# The next solves on a 2-d Dirichlet grid of odd side, 105 nodes, whose folded
 # sine transform carries a middle row.  The last checks the identity on a 3-d
 # Dirichlet box, the only case that runs a 3-d solve, with a site and node
 # offset that fit its L = 4.
@@ -54,6 +55,12 @@ EXTRA_CASES = [
     ("rank-one-check-2d", "rank-one-check",
      {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
       "eta": 1e-3, "n_samples": 2}),
+    ("agmon-check-2d", "agmon-check",
+     {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
+      "eta": 1e-3, "n_samples": 1}),
+    ("eta-convergence-2d", "eta-convergence",
+     {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0,
+      "etas": [1e-2, 1e-3, 1e-4], "n_samples": 1}),
     ("fpp-kesten-3d", "fpp-kesten",
      {"d": 3, "L": 65, "law": {"kind": "uniform01"}, "gamma": 0.95, "radii": [1, 2, 4],
       "c_probe": 0.5, "n_samples": 4}),
