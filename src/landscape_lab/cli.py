@@ -40,13 +40,12 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_TOL, MAX_NODES, __version__
+from . import DEFAULT_TOL, MAX_NODES, __version__, asdict
 from .disorder import DisorderLaw, UndrawnOmega, bernoulli, discrete_atoms, uniform01
 from .errors import (ConfigurationError, ExperimentError, FitError, LawValidationError,
                      SolverFailure)

@@ -14,10 +14,9 @@ changes its bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
+from . import Record, replace
 from .errors import ConfigurationError, LawValidationError, box_index
 
 _MASK64 = (1 << 64) - 1
@@ -28,13 +27,9 @@ _MASK64 = (1 << 64) - 1
 _BLOCK = 1 << 15
 
 
-def _splitmix(z, tmp=None):
-    """One SplitMix64 finalization round, wrapping mod 2^64.
-
-    On a uint64 array the round runs in place, with tmp as scratch of z's
-    shape, so it allocates nothing; on a np.uint64 scalar it returns the new
-    value (call it under np.errstate(over="ignore")).
-    """
+def _splitmix(z, tmp):
+    """One SplitMix64 finalization round on a uint64 array, wrapping mod 2^64,
+    in place, with tmp as scratch of z's shape, so it allocates nothing."""
     z += np.uint64(0x9E3779B97F4A7C15)
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -45,12 +40,16 @@ def _splitmix(z, tmp=None):
 
 
 def _hash_words(*words: int) -> np.uint64:
-    """Chain SplitMix64 over a sequence of scalar 64-bit words."""
-    acc = np.uint64(0x8C54E0D2A71B3C91)
-    with np.errstate(over="ignore"):
-        for w in words:
-            acc = _splitmix(acc ^ np.uint64(int(w) & _MASK64))
-    return acc
+    """Chain SplitMix64 over a sequence of scalar words, each taken mod 2^64, in
+    Python ints masked to 64 bits (numpy scalars cost about 50 us a chain).
+    The mask after the add also drops a word's sign and bits above 64."""
+    acc = 0x8C54E0D2A71B3C91
+    for w in words:
+        z = ((acc ^ int(w)) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        acc = z ^ (z >> 31)
+    return np.uint64(acc)
 
 
 def _site_uniforms(master_seed: int, sample_index: int, stream: int,
@@ -78,8 +77,7 @@ def _site_uniforms(master_seed: int, sample_index: int, stream: int,
     return sites.view(np.float64)
 
 
-@dataclass(frozen=True)
-class DisorderLaw:
+class DisorderLaw(Record):
     """Law of a single site amplitude: uniform on [0,1] when values and probs are
     empty, otherwise the atom table values/probs, drawn by inverse CDF in the
     order it is stored.  The probs form a simplex, the atoms lie in [0,1], and
@@ -165,8 +163,7 @@ def _checked_box(box) -> tuple:
     return box
 
 
-@dataclass(frozen=True)
-class OmegaField:
+class OmegaField(Record):
     """One realization of the iid site amplitudes on a lattice box."""
 
     box: tuple                 # sites are {0..box[i]-1} along each axis
@@ -187,8 +184,7 @@ class OmegaField:
         return self.values[mesh]
 
 
-@dataclass(frozen=True)
-class UndrawnOmega:
+class UndrawnOmega(Record):
     """The field sample_omega(law, box, master_seed, sample_index) draws, before
     it is drawn: it holds no site values, and at(mesh) hashes only the mesh's
     sites, with the bits the drawn field holds there."""
@@ -204,7 +200,15 @@ class UndrawnOmega:
     def at(self, mesh) -> np.ndarray:
         """The site values on an open mesh (np.ix_) of in-box indices; a
         repeated index is hashed again, to the same value."""
-        sites = np.ravel_multi_index(mesh, self.box).view(np.uint64)
+        if len(mesh) != len(self.box) or any(
+                a.min() < 0 or a.max() >= n for a, n in zip(mesh, self.box)):
+            raise ValueError(f"mesh is not a mesh of indices into box {self.box}")
+        # in uint64 from the (small) axes up, so the one full-size array is the
+        # sum itself; the copy of the first axis keeps the 1-d caller's mesh,
+        # which _site_uniforms would otherwise hash in place
+        sites = mesh[0].astype(np.uint64, order="C")
+        for a, n in zip(mesh[1:], self.box[1:]):
+            sites = sites * np.uint64(n) + a.astype(np.uint64)
         return self.law.from_uniform(
             _site_uniforms(self.master_seed, self.sample_index, 0, sites))
 

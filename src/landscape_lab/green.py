@@ -9,40 +9,34 @@ free Green function, the single-site perturbation identity, and the weighted
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, Record, replace
 from .disorder import OmegaField, assemble_potential
 from .errors import ConfigurationError, box_index
 from .lattice import (Grid, HamiltonianSpec, ScalarField, cell_reduce, cg_solve,
                       forward_gradient_sq)
 
 
-@dataclass(frozen=True)
-class GreenColumn:
+class GreenColumn(Record):
     source: tuple
     field: ScalarField
     spec: HamiltonianSpec
     tol: float
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(Record):
     max_violation: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class RankOneReport:
+class RankOneReport(Record):
     lhs: float
     rhs: float
     relative_error: float
 
 
-@dataclass(frozen=True)
-class AgmonReport:
+class AgmonReport(Record):
     lhs: float
     rhs: float
     passed: bool

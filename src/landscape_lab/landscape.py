@@ -6,33 +6,28 @@ stationary energy estimate, and the derived fields 1/u and grad log u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, Record
 from .disorder import OmegaField, assemble_potential
 from .errors import ConfigurationError, PositivityError
 from .lattice import (Grid, HamiltonianSpec, ScalarField, _forward_diff, cg_solve,
                       forward_gradient_sq)
 
 
-@dataclass(frozen=True)
-class LandscapeSolution:
+class LandscapeSolution(Record):
     u: ScalarField
     spec: HamiltonianSpec
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     lhs: float          # sample/cell average of the cell Dirichlet energy
     rhs: float          # sample/cell average of the cell integral of u
     margin_sigma: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class EtaRow:
+class EtaRow(Record):
     eta: float
     sup_diff: float
     sup_grad_diff: float

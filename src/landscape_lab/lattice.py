@@ -7,12 +7,11 @@ site z collects exactly m nodes per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import DEFAULT_TOL, MAX_NODES
+from . import DEFAULT_TOL, MAX_NODES, Record
 from .errors import (ConfigurationError, GridMismatchError,
                      SingularOperatorError, SolverNonConvergenceError)
 
@@ -20,8 +19,7 @@ _MAX_DENSE_NODES = 10_000
 _SLAB = 1 << 13     # nodes per slab of the spectral preconditioners' scale: 64 KB
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Regular mesh on the box [-1/2, L-1/2)^d."""
 
     d: int
@@ -72,8 +70,7 @@ class Grid:
         return (z * self.m + self.m // 2,) * self.d
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """One real value per grid node."""
 
     grid: Grid
@@ -94,8 +91,7 @@ class ScalarField:
         return cls(grid=grid, values=np.broadcast_to(float(c), grid.shape))
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(Record):
     """The operator -Lap_h + lambda*V + eta on its grid."""
 
     grid: Grid
@@ -119,7 +115,7 @@ class HamiltonianSpec:
             error = SingularOperatorError if self.lam > 0.0 else ConfigurationError
             raise error("periodic operator with eta = 0 and lambda*V = 0 is singular")
 
-    @cached_property    # once per operator; a frozen dataclass without slots allows it
+    @cached_property    # once per operator; it writes the record's __dict__
     def diagonal(self) -> np.ndarray:
         return (2.0 * self.grid.d * self.grid.m ** 2
                 + self.lam * self.potential.values + self.eta)

@@ -15,17 +15,15 @@ the components, one frontier step per level for the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import Record
 from .disorder import DisorderLaw, OmegaField, UndrawnOmega, sample_omega
 from .errors import ConfigurationError, LawValidationError, box_index
 from .samples import _pool_map
 
 
-@dataclass(frozen=True)
-class CoarseGraph:
+class CoarseGraph(Record):
     """Nearest-neighbor graph on (2^k Z^d) inside the fine box."""
 
     k: int
@@ -39,13 +37,11 @@ class CoarseGraph:
         return self.nc ** self.d
 
 
-@dataclass(frozen=True)
-class ChemicalDistanceMap:
+class ChemicalDistanceMap(Record):
     dist: np.ndarray    # shape (nc,)*d, integer passage times
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Record):
     closed_component_diameters: list   # Chebyshev diameters in coarse units
 
 
@@ -117,8 +113,9 @@ def _edge_list(g: CoarseGraph):
     ids = np.arange(g.n_vertices).reshape((g.nc,) * g.d)
     lower, upper = [], []
     for ax in range(g.d):
-        lower.append(np.delete(ids, -1, axis=ax).ravel())
-        upper.append(np.delete(ids, 0, axis=ax).ravel())
+        head = (slice(None),) * ax
+        lower.append(ids[head + (slice(None, -1),)].ravel())
+        upper.append(ids[head + (slice(1, None),)].ravel())
     open_ = np.concatenate([a.ravel() for a in g.xi])
     return np.concatenate(lower), np.concatenate(upper), open_
 
@@ -145,17 +142,20 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label, up = up, up[up]
 
 
-def _hop_counts(n: int, a: np.ndarray, b: np.ndarray, source: int) -> np.ndarray:
+def _hop_counts(n: int, a: np.ndarray, b: np.ndarray, source: int,
+                max_level: int | None = None) -> np.ndarray:
     """Per vertex of the undirected graph with edges (a, b), the fewest edges
     from source (-1 if unreachable): a breadth-first search that expands the
-    whole frontier at once and drops the arcs into reached vertices."""
+    whole frontier at once and drops the arcs into reached vertices.  Given
+    max_level, the search stops after that level and every vertex it has not
+    reached gets max_level + 1."""
     tail, head = np.concatenate([a, b]), np.concatenate([b, a])
     hops = np.full(n, -1)
     hops[source] = 0
     frontier = np.zeros(n, dtype=bool)
     frontier[source] = True
     level = 0
-    while True:
+    while level != max_level:
         nxt = head[frontier[tail]]
         nxt = nxt[hops[nxt] < 0]
         if nxt.size == 0:
@@ -166,6 +166,8 @@ def _hop_counts(n: int, a: np.ndarray, b: np.ndarray, source: int) -> np.ndarray
         frontier[nxt] = True
         keep = hops[head] < 0
         tail, head = tail[keep], head[keep]
+    hops[hops < 0] = level + 1
+    return hops
 
 
 def cluster_analysis(g: CoarseGraph) -> ClusterReport:
@@ -193,18 +195,20 @@ def cluster_analysis(g: CoarseGraph) -> ClusterReport:
     return ClusterReport(closed_component_diameters=[int(x) for x in diam])
 
 
-def chemical_distance(g: CoarseGraph, origin) -> ChemicalDistanceMap:
+def chemical_distance(g: CoarseGraph, origin, *, _max_level=None) -> ChemicalDistanceMap:
     """Single-source passage times with 0/1 edge weights (exact).
 
     Closed (weight 0) edges are contracted into components; a breadth-first
     search over the open edges between components gives the passage times.
+    A caller that reads no time above some level K may pass it as _max_level:
+    the search then stops there and every later time reads K + 1.
     """
     shape = (g.nc,) * g.d
     origin = box_index(origin, shape, "origin")
     lo, hi, open_ = _edge_list(g)
     comp = _components(g.n_vertices, lo[~open_], hi[~open_])
     hops = _hop_counts(g.n_vertices, comp[lo[open_]], comp[hi[open_]],
-                       comp[np.ravel_multi_index(origin, shape)])
+                       comp[np.ravel_multi_index(origin, shape)], _max_level)
     return ChemicalDistanceMap(dist=hops[comp].reshape(shape))
 
 
@@ -220,8 +224,7 @@ def wilson_interval(successes: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class KestenRow:
+class KestenRow(Record):
     radius: int
     frequency: float
     ci_low: float
@@ -231,7 +234,9 @@ class KestenRow:
 
 def _kesten_sample(i, law, L, gamma, k, master_seed, origin, cheb, radii, c_probe):
     omega = UndrawnOmega(cheb.ndim * (L,), law, master_seed, i)
-    dist = chemical_distance(coarse_grain(omega, k, gamma), origin).dist
+    # a hit reads only whether a time is <= c_probe * R, so no time above that is needed
+    top = int(c_probe * max(radii))
+    dist = chemical_distance(coarse_grain(omega, k, gamma), origin, _max_level=top).dist
     return [int(dist[cheb == R].min()) <= c_probe * R for R in radii]
 
 
@@ -259,8 +264,7 @@ def kesten_tail_experiment(law: DisorderLaw, d: int, L: int, gamma: float,
     return rows
 
 
-@dataclass(frozen=True)
-class GapStatistic:
+class GapStatistic(Record):
     gap: int
     censored: bool
 
@@ -279,8 +283,7 @@ def gap_statistic_1d(omega: OmegaField, gamma: float) -> GapStatistic:
     return GapStatistic(gap=int(y_prime + 1 + right[0] - left[-1]), censored=False)
 
 
-@dataclass(frozen=True)
-class AnchoringReport:
+class AnchoringReport(Record):
     p_values: tuple
     moments: tuple              # E[gap^p]^(1/p) per p
     censored_fraction: float

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, Record, replace
 from .disorder import (DisorderLaw, OmegaField, assemble_potential, resample_site,
                        sample_omega)
 from .errors import ConfigurationError, FitError, box_index
@@ -18,8 +16,7 @@ from .samples import _pool_map
 N_BOOT = 200   # bootstrap resamples per confidence interval
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
     rate: float
     log_prefactor: float
     r_min: float
@@ -28,23 +25,20 @@ class DecayFit:
     n_points: int
 
 
-@dataclass(frozen=True)
-class MomentCurve:
+class MomentCurve(Record):
     distances: np.ndarray
     values: np.ndarray
     ci: np.ndarray
 
 
-@dataclass(frozen=True)
-class CovariancePoint:
+class CovariancePoint(Record):
     separation: float
     cov: float
     ci: float
     observable: str
 
 
-@dataclass(frozen=True)
-class ExperimentSetup:
+class ExperimentSetup(Record):
     """Geometry + disorder + operator parameters shared by the experiments."""
 
     d: int

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import omega_from_values
 from landscape_lab.cli import law_from_dict
-from landscape_lab.disorder import (DisorderLaw, UndrawnOmega, assemble_potential,
-                                    bernoulli, bump, discrete_atoms, resample_site,
-                                    sample_omega, uniform01)
+from landscape_lab.disorder import (DisorderLaw, UndrawnOmega, _hash_words,
+                                    assemble_potential, bernoulli, bump, discrete_atoms,
+                                    resample_site, sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError, box_index
 from landscape_lab.lattice import Grid
 
@@ -163,6 +163,29 @@ class TestHashStream:
     def test_resampled_bits_fixed(self, law):
         omega = resample_site(sample_omega(LAWS[law], (5, 5, 5), 101, 2), (1, 2, 3), 9)
         assert digest(omega) == GOLDEN_RESAMPLED[law]
+
+
+def numpy_scalar_chain(*words):
+    """The key chain as it was in np.uint64 scalars: each word masked to 64 bits,
+    xored in, then one SplitMix64 round."""
+    acc = np.uint64(0x8C54E0D2A71B3C91)
+    with np.errstate(over="ignore"):
+        for w in words:
+            z = acc ^ np.uint64(int(w) & ((1 << 64) - 1))
+            z += np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            acc = z ^ (z >> np.uint64(31))
+    return acc
+
+
+class TestHashWords:
+    @pytest.mark.parametrize("words", [
+        (0, 0, 0), ((1 << 64) - 1, 7, 0), (-101, 3, 19), (101, (1 << 64) - 1, -1),
+        (2 ** 70 + 5, 0, 1), (42,), ()])
+    def test_python_int_chain_matches_numpy_scalars(self, words):
+        key = _hash_words(*words)
+        assert type(key) is np.uint64 and key == numpy_scalar_chain(*words)
 
 
 class TestUndrawnOmega:

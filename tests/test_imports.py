@@ -1,9 +1,9 @@
 """Lints on the package source (no linter is assumed): every import, at
 module level or in a function body, is used in its scope, no module imports
-logging, no module draws from random, secrets or numpy.random, no module calls
-LAPACK through numpy but selftest's dense cross-check, and every module-level
-function and class, and every class member, is reached from the package
-itself, the acceptance suite or the benchmark's traced spans."""
+logging or dataclasses, no module draws from random, secrets or numpy.random,
+no module calls LAPACK through numpy but selftest's dense cross-check, and
+every module-level function and class, and every class member, is reached
+from the package itself, the acceptance suite or the benchmark's traced spans."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,13 @@ def test_checker_finds_every_import():
 def test_no_module_imports_logging(module):
     """Skipped samples are printed on stderr, where every other report goes."""
     assert "logging" not in imported_modules((PACKAGE / module).read_text())
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    """Records derive from landscape_lab.Record: a dataclass execs its generated
+    methods when its module is imported."""
+    assert "dataclasses" not in imported_modules((PACKAGE / module).read_text())
 
 
 def random_sources(source: str) -> set:

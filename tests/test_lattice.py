@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from landscape_lab.errors import (ConfigurationError, GridMismatchError,
                                   SingularOperatorError,
                                   SolverNonConvergenceError)
-from landscape_lab import lattice
+from landscape_lab import lattice, replace
 from landscape_lab.disorder import (assemble_potential, sample_omega,
                                     uniform01)
 from landscape_lab.green import delta_rhs

@@ -352,6 +352,18 @@ class TestChemicalDistance:
                         dq.append(tuple(nb))
         assert np.array_equal(d == 0, reach)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_capped_map_is_the_full_map_clipped(self, d):
+        # a search stopped after level K reads K + 1 wherever it stopped
+        rng = np.random.default_rng(23 + d)
+        for trial in range(20):
+            g = random_graph(7, d, rng.uniform(0.3, 0.9), rng)
+            origin = tuple(int(c) for c in rng.integers(0, 7, size=d))
+            full = chemical_distance(g, origin).dist
+            for top in range(int(full.max()) + 2):
+                capped = chemical_distance(g, origin, _max_level=top).dist
+                assert np.array_equal(capped, np.minimum(full, top + 1)), (trial, top)
+
     def test_origin_guard(self):
         g = random_graph(5, 2, 0.5, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
@@ -407,6 +419,39 @@ class TestKestenTail:
                                       0.5, 10, 7, k=3)
         for r in rows:
             assert 0.0 <= r.ci_low <= r.frequency <= r.ci_high <= 1.0
+
+
+# (law, L, gamma, k, radii, c_probe) of 2-d samples: criterion 9b's config, then
+# radii whose thresholds c_probe * R are not integers, on the 9b box and two smaller
+KESTEN_CONFIGS = [
+    (uniform01(), 513, 0.875, 3, [8, 16, 32], 0.25),
+    (uniform01(), 513, 0.875, 3, [5, 11, 27], 0.3),
+    (uniform01(), 129, 0.875, 3, [3, 5], 0.45),
+    (bernoulli(0.5), 65, 0.5, 3, [1, 3], 0.7),
+]
+
+
+class TestKestenCap:
+    """A Kesten sample stops its search at level floor(c_probe * max(radii)),
+    and reads the same hits as from the full chemical distance map."""
+
+    @pytest.mark.parametrize("law, L, gamma, k, radii, c_probe", KESTEN_CONFIGS)
+    def test_capped_hits_match_the_full_map(self, law, L, gamma, k, radii, c_probe):
+        nc = ((L - 1) >> k) + 1
+        origin = (nc // 2,) * 2
+        cheb = np.abs(np.indices((nc,) * 2) - origin[0]).max(axis=0)
+        top, seen, clipped = int(c_probe * max(radii)), set(), False
+        for i in range(6):
+            full = chemical_distance(
+                coarse_grain(UndrawnOmega((L, L), law, 41, i), k, gamma), origin).dist
+            hits = [int(full[cheb == R].min()) <= c_probe * R for R in radii]
+            assert _kesten_sample(i, law, L, gamma, k, 41, origin, cheb, radii,
+                                  c_probe) == hits
+            seen.update(hits)
+            clipped |= bool(full.max() > top + 1)
+        assert clipped      # the cap cut the search short in some sample
+        if L == 513:
+            assert seen == {True, False}
 
 
 class TestSampleMemory:

@@ -261,7 +261,7 @@ os.fork, os.cpu_count = recording_fork, lambda: 2
 def watched():
     return sorted(m for m in sys.modules
                   if m in ("concurrent.futures.process", "numpy.ma", "logging", "_hashlib",
-                           "numpy.random", "secrets")
+                           "numpy.random", "secrets", "dataclasses")
                   or m.split(".")[0] in ("multiprocessing", "landscape_lab"))
 loaded = {"import": watched()}
 for name, cfg, workers in runs:
@@ -289,8 +289,8 @@ def probe(runs, tmp_path) -> dict:
 
 class TestPoolImport:
     """A run loads only its subcommand's modules: no run loads a process pool,
-    numpy.ma or logging, forked runs included, and no run, bootstrapping ones
-    included, loads numpy.random, secrets or OpenSSL's _hashlib."""
+    numpy.ma, logging or dataclasses, forked runs included, and no run,
+    bootstrapping ones included, loads numpy.random, secrets or OpenSSL's _hashlib."""
 
     def test_no_run_loads_pool_or_logging(self, tmp_path):
         law = {"kind": "bernoulli", "q": 0.5}
@@ -314,7 +314,7 @@ class TestPoolImport:
         assert not SOLVER & percolation["fpp-kesten-w1"]
         assert "landscape_lab.percolation" not in solver["green-decay-w2"]
         unwanted = {"concurrent.futures.process", "multiprocessing", "numpy.ma", "logging",
-                    "_hashlib", "secrets", "numpy.random"}
+                    "_hashlib", "secrets", "numpy.random", "dataclasses"}
         for loaded in (percolation["cluster-tail-w1"], solver["covariance-w1"]):
             assert not unwanted & loaded
         assert not percolation["forks"] and len(solver["forks"]) == 2
