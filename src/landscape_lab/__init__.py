@@ -19,8 +19,9 @@ class Record:
     with no exec or compile.  One __init__ takes the fields positionally or by
     keyword, fills in the defaults, then runs __post_init__, which may still
     set a field with object.__setattr__.  Instances keep a __dict__ (so a
-    cached_property works), refuse assignment and deletion, and compare, hash
-    and print field by field.
+    cached_property works), refuse assignment and deletion, and compare, hash,
+    print and pickle field by field: unpickling builds the record again through
+    __init__, so nothing cached is pickled.
     """
 
     _fields = {}    # field name -> its default or _NO_DEFAULT, in field order
@@ -57,6 +58,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -41,12 +41,11 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_TOL, MAX_NODES, __version__, asdict
-from .disorder import DisorderLaw, UndrawnOmega, bernoulli, discrete_atoms, uniform01
+from . import DEFAULT_TOL, MAX_NODES, Record, __version__, asdict
+from .disorder import DisorderLaw, bernoulli, discrete_atoms, sample_omega, uniform01
 from .errors import (ConfigurationError, ExperimentError, FitError, LawValidationError,
                      SolverFailure)
 from .samples import _pool_map
@@ -88,7 +87,7 @@ def write_csv(path: Path, header, rows) -> None:
 REQUIRED = object()
 
 
-class Key(NamedTuple):
+class Key(Record):
     """type: int, float, str, dict, or [t] for a non-empty list of t.
     default: REQUIRED, a value, or a function of the keys above it in the
     table.  rule: (text, predicate(value, cfg)), on the value or each element.
@@ -422,7 +421,7 @@ def _run_fpp_kesten(cfg, tables):
 def _cluster_sample(i, law, cfg):
     from .percolation import cluster_analysis, coarse_grain
 
-    omega = UndrawnOmega((cfg["L"],) * cfg["d"], law, cfg["master_seed"], i)
+    omega = sample_omega(law, (cfg["L"],) * cfg["d"], cfg["master_seed"], i)
     return cluster_analysis(coarse_grain(omega, cfg["k"], cfg["gamma"])
                             ).closed_component_diameters
 

@@ -7,12 +7,15 @@ a single site can be resampled without touching the rest of the field and so
 that parallel generation is order-independent.  The hash (SplitMix64 chained
 over master seed, sample index, stream and site) is evaluated in place on an
 array of site indices, in cache-sized blocks, so it can run on any set of
-sites: sample_omega draws the whole box, an UndrawnOmega hashes only the sites
-it is asked for, and resample_site one site.  How the hash is evaluated never
-changes its bits.
+sites.  An OmegaField is its key plus the sites set on it: its values hash
+the whole box when first read, at(mesh) only the mesh's sites, and
+resample_site one site, which it sets on a new field without copying an
+array.  How the hash is evaluated never changes its bits.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -156,53 +159,48 @@ def bump(r) -> np.ndarray:
     return out
 
 
-def _checked_box(box) -> tuple:
-    box = tuple(int(b) for b in box)
-    if len(box) == 0 or any(b < 1 for b in box):
-        raise ConfigurationError(f"box must be nonempty, got {box}")
-    return box
-
-
 class OmegaField(Record):
-    """One realization of the iid site amplitudes on a lattice box."""
+    """One realization of the iid site amplitudes on a lattice box: its key,
+    plus the sites set on it, each a (flat site index, value) pair applied in
+    order over the keyed draws.  Building one draws nothing: values draws the
+    whole box when first read, and at(mesh) only the mesh's sites."""
 
     box: tuple                 # sites are {0..box[i]-1} along each axis
-    values: np.ndarray
     law: DisorderLaw
     master_seed: int
     sample_index: int
+    sites: tuple = ()
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        box = tuple(int(b) for b in self.box)
+        if len(box) == 0 or any(b < 1 for b in box):
+            raise ConfigurationError(f"box must be nonempty, got {box}")
+        object.__setattr__(self, "box", box)
 
     @property
     def d(self) -> int:
         return len(self.box)
 
-    def at(self, mesh) -> np.ndarray:
-        """The site values on an open mesh (np.ix_) of in-box indices."""
-        return self.values[mesh]
-
-
-class UndrawnOmega(Record):
-    """The field sample_omega(law, box, master_seed, sample_index) draws, before
-    it is drawn: it holds no site values, and at(mesh) hashes only the mesh's
-    sites, with the bits the drawn field holds there."""
-
-    box: tuple
-    law: DisorderLaw
-    master_seed: int
-    sample_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "box", _checked_box(self.box))
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The whole box's site values, drawn once, read-only."""
+        values = self.law.from_uniform(_site_uniforms(
+            self.master_seed, self.sample_index, 0, np.arange(np.prod(self.box), dtype=np.uint64)))
+        for j, w in self.sites:
+            values[j] = w
+        values = values.reshape(self.box)
+        values.flags.writeable = False
+        return values
 
     def at(self, mesh) -> np.ndarray:
-        """The site values on an open mesh (np.ix_) of in-box indices; a
-        repeated index is hashed again, to the same value."""
+        """The site values on an open mesh (np.ix_) of in-box indices.  With no
+        site set it reads no values: it hashes only the mesh's sites (a
+        repeated index again, to the same value)."""
         if len(mesh) != len(self.box) or any(
                 a.min() < 0 or a.max() >= n for a, n in zip(mesh, self.box)):
             raise ValueError(f"mesh is not a mesh of indices into box {self.box}")
+        if self.sites:
+            return self.values[mesh]
         # in uint64 from the (small) axes up, so the one full-size array is the
         # sum itself; the copy of the first axis keeps the 1-d caller's mesh,
         # which _site_uniforms would otherwise hash in place
@@ -214,24 +212,19 @@ class UndrawnOmega(Record):
 
 
 def sample_omega(law: DisorderLaw, box, master_seed: int, sample_index: int) -> OmegaField:
-    """Draw the whole field; deterministic and site-keyed in all inputs."""
-    box = _checked_box(box)
-    u = _site_uniforms(master_seed, sample_index, 0,
-                       np.arange(np.prod(box), dtype=np.uint64))
-    values = law.from_uniform(u).reshape(box)
-    return OmegaField(box=box, values=values, law=law,
-                      master_seed=master_seed, sample_index=sample_index)
+    """The field keyed by (master_seed, sample_index), deterministic and
+    site-keyed; its sites are hashed when they are read."""
+    return OmegaField(box, law, master_seed, sample_index)
 
 
 def resample_site(omega: OmegaField, z, resample_seed: int) -> OmegaField:
     """Fresh independent draw at site z; every other site untouched."""
     z = box_index(z, omega.box, "site")
-    site = np.array([np.ravel_multi_index(z, omega.box)], dtype=np.uint64)
+    site = int(np.ravel_multi_index(z, omega.box))
     # stream 0 is the original field; odd streams (mod 2^64) are reserved for resampling
-    u = _site_uniforms(omega.master_seed, omega.sample_index, 2 * resample_seed + 1, site)
-    values = omega.values.copy()
-    values[z] = omega.law.from_uniform(u)[0]
-    return replace(omega, values=values)
+    u = _site_uniforms(omega.master_seed, omega.sample_index, 2 * resample_seed + 1,
+                       np.array([site], dtype=np.uint64))
+    return replace(omega, sites=omega.sites + ((site, float(omega.law.from_uniform(u)[0])),))
 
 
 def assemble_potential(omega: OmegaField, grid) -> "ScalarField":

@@ -89,9 +89,8 @@ def rank_one_identity_check(omega: OmegaField, z, grid: Grid, lam: float, eta: f
     origin, tol = grid.center_node, 1e-12
 
     V = assemble_potential(omega, grid)
-    forced = omega.values.copy()
-    forced[z] = 1.0
-    V_minus = assemble_potential(replace(omega, values=forced), grid)
+    forced = (int(np.ravel_multi_index(z, omega.box)), 1.0)
+    V_minus = assemble_potential(replace(omega, sites=omega.sites + (forced,)), grid)
 
     H = HamiltonianSpec(grid=grid, potential=V, lam=lam, eta=eta)
     H_minus = HamiltonianSpec(grid=grid, potential=V_minus, lam=lam, eta=eta)

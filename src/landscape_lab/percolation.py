@@ -4,11 +4,11 @@ Edges of the 2^k-spaced coarse lattice are open when some fine site inside
 the disjoint edge cube carries an amplitude above the threshold gamma; the
 edge cube is a product of intervals, so its max is a separable window max
 taken only at the edge centers.  Coarse graining reads just those windows'
-sites, so the samples here hand it an UndrawnOmega, which hashes only them:
-at k = 3 about 28 % of the box, and no sample holds the L^d field.  The
-chemical distance counts open edges along the cheapest path: closed (weight
-0) edges are contracted into components, then a breadth-first search runs
-over the open edges between them.  Both graph routines are whole-array numpy
+sites, and a sampled field hashes only the sites it is asked for: at k = 3
+about 28 % of the box, so no sample holds the L^d field.  The chemical
+distance counts open edges along the cheapest path: closed (weight 0) edges
+are contracted into components, then a breadth-first search runs over the
+open edges between them.  Both graph routines are whole-array numpy
 passes over the edge list: min-label propagation with pointer jumping for
 the components, one frontier step per level for the search.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import Record
-from .disorder import DisorderLaw, OmegaField, UndrawnOmega, sample_omega
+from .disorder import DisorderLaw, OmegaField, sample_omega
 from .errors import ConfigurationError, LawValidationError, box_index
 from .samples import _pool_map
 
@@ -78,15 +78,16 @@ def _coarse_side(L: int, k: int) -> int:
     return nc
 
 
-def coarse_grain(omega: OmegaField | UndrawnOmega, k: int, gamma: float) -> CoarseGraph:
+def coarse_grain(omega: OmegaField, k: int, gamma: float) -> CoarseGraph:
     """Threshold the max amplitude in each (disjoint) edge cube.
 
-    omega is an OmegaField or an UndrawnOmega, read only through omega.at:
-    per edge axis one open mesh gathers the window of every center on every
-    axis (clipped to the box, so edge windows repeat sites), and the max is
-    taken over one window axis at a time.  Each mesh axis lists the first
-    window offset of every center, then the next, so each max runs over whole
-    contiguous rows (a max over a length-3 inner axis took 10x longer).
+    omega is read only through omega.at, so a field with no site set hashes
+    only the windows' sites: per edge axis one open mesh gathers the window of
+    every center on every axis (clipped to the box, so edge windows repeat
+    sites), and the max is taken over one window axis at a time.  Each mesh
+    axis lists the first window offset of every center, then the next, so each
+    max runs over whole contiguous rows (a max over a length-3 inner axis took
+    10x longer).
     """
     L, d = omega.box[0], len(omega.box)
     if any(b != L for b in omega.box):
@@ -233,7 +234,7 @@ class KestenRow(Record):
 
 
 def _kesten_sample(i, law, L, gamma, k, master_seed, origin, cheb, radii, c_probe):
-    omega = UndrawnOmega(cheb.ndim * (L,), law, master_seed, i)
+    omega = sample_omega(law, cheb.ndim * (L,), master_seed, i)
     # a hit reads only whether a time is <= c_probe * R, so no time above that is needed
     top = int(c_probe * max(radii))
     dist = chemical_distance(coarse_grain(omega, k, gamma), origin, _max_level=top).dist

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import omega_from_values
 from landscape_lab.cli import law_from_dict
-from landscape_lab.disorder import (DisorderLaw, UndrawnOmega, _hash_words,
+from landscape_lab.disorder import (DisorderLaw, _hash_words,
                                     assemble_potential, bernoulli, bump, discrete_atoms,
                                     resample_site, sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError, box_index
@@ -189,14 +189,14 @@ class TestHashWords:
 
 
 class TestUndrawnOmega:
-    """An undrawn field hashes only the sites it is asked for, to the bits
-    sample_omega draws there."""
+    """A field with no site set hashes only the sites at(mesh) is asked for, to
+    the bits its values draw there."""
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("box", [(40,), (13, 17), (6, 7, 5)], ids=["1d", "2d", "3d"])
     def test_at_matches_the_drawn_field(self, law, box):
         drawn = sample_omega(LAWS[law], box, 101, 3)
-        undrawn = UndrawnOmega(box, LAWS[law], 101, 3)
+        undrawn = sample_omega(LAWS[law], box, 101, 3)
         meshes = [
             [np.arange(b) for b in box],                          # the whole box
             # clipped windows: the box's first and last sites repeat
@@ -214,17 +214,44 @@ class TestUndrawnOmega:
         # 40 000 sites hash in two blocks
         box = (200, 200)
         mesh = np.ix_(np.arange(200)[::-1], np.arange(200))
-        got = UndrawnOmega(box, uniform01(), 7, 1).at(mesh)
+        got = sample_omega(uniform01(), box, 7, 1).at(mesh)
         assert got.tobytes() == sample_omega(uniform01(), box, 7, 1).values[::-1].tobytes()
 
     def test_at_rejects_sites_outside_the_box(self):
         with pytest.raises(ValueError):
-            UndrawnOmega((8, 8), uniform01(), 0, 0).at(np.ix_([0, 8], [1]))
+            sample_omega(uniform01(), (8, 8), 0, 0).at(np.ix_([0, 8], [1]))
 
     @pytest.mark.parametrize("box", [(), (0,), (4, 0)])
     def test_empty_box_rejected(self, box):
         with pytest.raises(ConfigurationError, match="nonempty"):
-            UndrawnOmega(box, uniform01(), 0, 0)
+            sample_omega(uniform01(), box, 0, 0)
+
+
+class TestFieldKey:
+    """A field is its key plus the sites set on it, whether or not it is drawn."""
+
+    def test_same_key_compares_equal_and_hashes_alike(self):
+        a = sample_omega(bernoulli(0.5), (16, 16), 123, 7)
+        b = sample_omega(bernoulli(0.5), (16, 16), 123, 7)
+        a.values                    # one drawn, one not
+        assert a == b and hash(a) == hash(b)
+        assert a != sample_omega(bernoulli(0.5), (16, 16), 123, 8)
+
+    def test_resampled_field_differs_from_its_parent(self):
+        omega = sample_omega(uniform01(), (8, 8), 3, 0)
+        out = resample_site(omega, (2, 5), 1)
+        assert out != omega and hash(out) != hash(omega)
+        assert out.sites == ((21, float(out.values[2, 5])),)
+        assert out == resample_site(omega, (2, 5), 1)
+
+    def test_at_reads_the_set_sites(self):
+        omega = sample_omega(uniform01(), (13, 17), 101, 3)
+        for seed, z in enumerate([(0, 0), (12, 16), (6, 9), (6, 9)]):
+            omega = resample_site(omega, z, seed)
+        mesh = np.ix_(np.clip(np.arange(-2, 15), 0, 12), np.array([16, 0, 9, 9]))
+        assert omega.at(mesh).tobytes() == omega.values[mesh].tobytes()
+        drawn = sample_omega(uniform01(), (13, 17), 101, 3).values
+        assert np.count_nonzero(omega.values != drawn) == 3
 
 
 class TestResampleSite:

@@ -31,12 +31,17 @@ def test_cases_are_the_smoke_configs_and_the_benchmark_invocations():
         ("influence-2d-vertical-derivative", "vertical-derivative"),
         ("percolation-2d-fpp-kesten", "fpp-kesten"),
         ("percolation-2d-cluster-tail", "cluster-tail"),
+        ("covariance-grad-log-u-2d", "covariance"), ("covariance-inv-u", "covariance"),
         ("cluster-tail-atoms", "cluster-tail"), ("anchor-1d-atoms", "anchor-1d"),
         ("energy-check-2d", "energy-check"), ("rank-one-check-2d", "rank-one-check"),
         ("agmon-check-2d", "agmon-check"), ("eta-convergence-2d", "eta-convergence"),
         ("fpp-kesten-3d", "fpp-kesten"), ("cluster-tail-k4", "cluster-tail"),
         ("solve-landscape-odd-2d", "solve-landscape"), ("rank-one-check-3d", "rank-one-check")]
     assert [cfg for _, _, cfg in cases[:len(SMOKE_CONFIGS)]] == list(SMOKE_CONFIGS.values())
+    # the derived-field observables, which no smoke config or workload takes
+    assert [(cfg["observable"], cfg["d"]) for _, _, cfg in cases[-12:-10]] == [
+        ("grad_log_u", 2), ("inv_u", 1)]
+    assert all(cfg.get("observable", "u") == "u" for _, _, cfg in cases[:-12])
     # the third law kind, its atoms out of value order
     assert [cfg["law"] for _, _, cfg in cases[-10:-8]] == [outputs_diff.ATOMS] * 2
     assert outputs_diff.ATOMS["kind"] == "discrete_atoms"

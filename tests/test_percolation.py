@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import omega_from_values
 from landscape_lab.cli import _cluster_sample
-from landscape_lab.disorder import (UndrawnOmega, bernoulli, discrete_atoms, sample_omega,
-                                    uniform01)
+from landscape_lab.disorder import (OmegaField, bernoulli, discrete_atoms, resample_site,
+                                    sample_omega, uniform01)
 from landscape_lab.errors import ConfigurationError, LawValidationError
 from landscape_lab.percolation import (CoarseGraph, anchoring_experiment_1d,
                                        chemical_distance, choose_k,
@@ -218,13 +218,26 @@ class TestCoarseGrain:
     def test_undrawn_field_gives_the_drawn_flags(self, d, spans, k):
         law = discrete_atoms([1.0, 0.0, 0.5], [0.3, 0.4, 0.3])
         for L in sorted({(j << k) + 1 + extra for j in spans for extra in (-2, -1, 0, 1)}):
-            drawn = sample_omega(law, (L,) * d, 11, L)
-            undrawn = UndrawnOmega((L,) * d, law, 11, L)
+            undrawn = sample_omega(law, (L,) * d, 11, L)
+            # site 0 set to its own value: the same field, read from its values
+            drawn = OmegaField((L,) * d, law, 11, L, ((0, float(undrawn.values.flat[0])),))
             for gamma in (0.5, 1.0):
                 a, b = coarse_grain(drawn, k, gamma), coarse_grain(undrawn, k, gamma)
                 assert (a.nc, a.d) == (b.nc, b.d)
                 assert all(x.shape == y.shape and np.array_equal(x, y)
                            for x, y in zip(a.xi, b.xi))
+
+    def test_set_sites_give_the_flags_of_their_values(self):
+        # k = 2 reads one site per edge, at (2 + 4i, 4j) on axis 0: resampling
+        # twelve of them moves some edges
+        omega = sample_omega(uniform01(), (33, 33), 17, 0)
+        field = omega
+        for i in range(12):
+            field = resample_site(field, (2 + 4 * (i % 8), 4 * (i // 2)), i)
+        got = coarse_grain(field, 2, 0.5)
+        want = coarse_grain(omega_from_values(field.values, uniform01()), 2, 0.5)
+        assert all(np.array_equal(x, y) for x, y in zip(got.xi, want.xi))
+        assert not np.array_equal(got.xi[0], coarse_grain(omega, 2, 0.5).xi[0])
 
 
 class TestClusterAnalysis:
@@ -443,7 +456,7 @@ class TestKestenCap:
         top, seen, clipped = int(c_probe * max(radii)), set(), False
         for i in range(6):
             full = chemical_distance(
-                coarse_grain(UndrawnOmega((L, L), law, 41, i), k, gamma), origin).dist
+                coarse_grain(sample_omega(law, (L, L), 41, i), k, gamma), origin).dist
             hits = [int(full[cheb == R].min()) <= c_probe * R for R in radii]
             assert _kesten_sample(i, law, L, gamma, k, 41, origin, cheb, radii,
                                   c_probe) == hits

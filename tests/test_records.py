@@ -122,6 +122,18 @@ class TestHelpers:
             back.law = None
 
 
+    def test_pickle_holds_only_the_fields(self):
+        omega = sample_omega(bernoulli(0.5), (4,), 1, 0)
+        omega.values
+        back = pickle.loads(pickle.dumps(omega))
+        assert not back.values.flags.writeable
+        assert back.values.tobytes() == omega.values.tobytes()
+        grid = Grid(1, 4, 2)
+        H = HamiltonianSpec(grid, ScalarField.constant(grid, 1.0), 0.5, 0.25)
+        H.diagonal
+        assert "diagonal" not in pickle.loads(pickle.dumps(H)).__dict__
+
+
 def manifest_records():
     """Records whose asdict goes into a manifest, as the runs make them."""
     distances = np.arange(1.0, 9.0)

@@ -31,7 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = "manifest.json"
 SEED, WORKERS = 101, (1, 2)
 # The smoke configs and the benchmark draw Bernoulli and uniform sites only, and
-# solve periodic in 1-d only.  The atom cases draw from a discrete_atoms table
+# solve periodic in 1-d only.  The covariance cases take the derived fields the
+# smoke config's u does not: grad log u on a plane and 1/u on a line.  The atom
+# cases draw from a discrete_atoms table
 # listed out of value order, with a repeated atom, and take k (cluster-tail) and
 # gamma (anchor-1d) from the law's defaults.  The energy-check case solves
 # periodic in 2-d: the stencil's wrap entries and the real FFT preconditioner on
@@ -46,6 +48,13 @@ SEED, WORKERS = 101, (1, 2)
 ATOMS = {"kind": "discrete_atoms", "values": [1.0, 0.0, 0.5, 0.0],
          "probs": [0.25, 0.25, 0.25, 0.25]}
 EXTRA_CASES = [
+    ("covariance-grad-log-u-2d", "covariance",
+     {"d": 2, "L": 8, "m": 20, "law": {"kind": "uniform01"}, "lambda": 1.0, "eta": 1e-3,
+      "observable": "grad_log_u", "separations": [1, 2], "n_samples": 3, "margin": 1}),
+    ("covariance-inv-u", "covariance",
+     {"d": 1, "L": 16, "m": 20, "law": {"kind": "bernoulli", "q": 0.5}, "lambda": 1.0,
+      "eta": 1e-3, "observable": "inv_u", "separations": [1, 2], "n_samples": 3,
+      "margin": 2}),
     ("cluster-tail-atoms", "cluster-tail",
      {"d": 2, "L": 33, "law": ATOMS, "gamma": 0.5, "n_samples": 2}),
     ("anchor-1d-atoms", "anchor-1d", {"L": 32, "law": ATOMS, "n_samples": 5}),
